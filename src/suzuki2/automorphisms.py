@@ -1,9 +1,10 @@
 """Automorphisms as certified permutations of element ids.
 
 Every map in this module is wrapped in an Automorphism whose constructor
-re-checks the full multiplicative certificate perm(g*h) = perm(g)*perm(h)
-over all pairs, so nothing downstream ever trusts a formula. The known
-generator families are:
+re-checks the multiplicative certificate perm(x*g) = perm(x)*perm(g) for
+every element x and every generator g of the group. By induction on word
+length that is the full homomorphism property, so nothing downstream
+ever trusts a formula. The known generator families are:
 
   - central maps g -> g * chi(g Z), one per (generator position, Z-basis
     element) pair, built from the bit of the V-coordinate;
@@ -13,8 +14,12 @@ generator families are:
     alpha: (a, x) -> (eps^3 a, eps^9 x) and beta: (a, x) -> (eps a^4, x^4),
     with a structured scan over (mu, nu, j) as fallback.
 
-A brute-force search doubles as an independent oracle for small groups,
-and the fusion/orbit machinery feeds the verification scenarios.
+The order of the group the maps generate comes from the exact sequence
+1 -> Hom(V, Z) -> Aut(G) -> GL(V) when the group is special and the
+maps provably contain the whole kernel, and from a Schreier-Sims chain
+on all elements otherwise. A brute-force search doubles as an
+independent oracle for small groups, and the fusion/orbit machinery
+feeds the verification scenarios.
 """
 
 from .errors import (
@@ -28,13 +33,34 @@ from .linalg import GF2, Matrix, wedge_pairs
 from .permgrp import StabChain, compose, invert, orbits, perm_order, validate_permutation
 
 
-def _certificate_witness(mul_src, mul_dst, maps):
-    """First g with maps[g*h] != maps[g]*maps[h] for some h, else -1."""
-    for g in range(len(maps)):
-        row = mul_src[g]
-        drow = mul_dst[maps[g]]
-        if [maps[x] for x in row] != [drow[m] for m in maps]:
-            return g
+def _pairs_witness(mul_src, mul_dst, maps):
+    """First x with maps[x*y] != maps[x]*maps[y] for some y, else -1."""
+    for x in range(len(maps)):
+        row = mul_src[x]
+        drow = mul_dst[maps[x]]
+        if [maps[y] for y in row] != [drow[m] for m in maps]:
+            return x
+    return -1
+
+
+def _certificate_witness(mul_src, mul_dst, maps, gens):
+    """First x with maps[x*y] != maps[x]*maps[y] for some y, else -1.
+
+    Only the columns of the source's generators are compared. That is
+    enough: if maps[x*g] == maps[x]*maps[g] for every x and every
+    generator g, then by induction on word length
+    maps[x*w*g] = maps[x*w]*maps[g] = maps[x]*maps[w]*maps[g]
+    = maps[x]*maps[w*g], so maps[x*w] == maps[x]*maps[w] for every
+    positive word w, and in a finite group those words are all the
+    elements. FiniteGroup._check_table refuses generators that do not
+    generate the group. A mismatch in a column is a failing pair, so the
+    row scan run on a mismatch always names a witness, the same one the
+    full |G|^2 scan would name.
+    """
+    for g in gens:
+        mg = maps[g]
+        if [maps[row[g]] for row in mul_src] != [mul_dst[m][mg] for m in maps]:
+            return _pairs_witness(mul_src, mul_dst, maps)
     return -1
 
 
@@ -48,7 +74,7 @@ class Automorphism:
         validate_permutation(perm, group.n)
         if perm[0] != 0:
             raise NotAHomomorphism("identity is not fixed")
-        g = _certificate_witness(group.mul, group.mul, perm)
+        g = _certificate_witness(group.mul, group.mul, perm, group.gens)
         if g >= 0:
             raise NotAHomomorphism(
                 f"product not respected at element {group.labels[g]!r}"
@@ -210,29 +236,15 @@ def central_maps(group):
     return out
 
 
-def _a2_maps(group):
-    ctx = group.meta["ctx"]
-    k = group.meta["k"]
-    lam = ctx.t
-    lam_xi = ctx.mul(lam, ctx.frobenius(lam, k))
-    xi = Automorphism(
-        group,
-        _label_perm(group, lambda lab: (ctx.mul(lab[0], lam), ctx.mul(lab[1], lam_xi))),
-        "xi",
-    )
-    phi = Automorphism(
-        group,
-        _label_perm(group, lambda lab: (ctx.frobenius(lab[0]), ctx.frobenius(lab[1]))),
-        "frobenius",
-    )
-    return [xi, phi]
+def _xi_phi_maps(group):
+    """The scaling map xi and the entrywise Frobenius phi of a2 or b2.
 
-
-def _b2_maps(group):
+    xi is (a, x) -> (lam a, lam^(1 + 2^t) x), t = k for a2 and n for b2.
+    """
     ctx = group.meta["ctx"]
-    n = group.meta["n"]
+    t = group.meta["k"] if group.meta["family"] == "a2" else group.meta["n"]
     lam = ctx.t
-    lam_xi = ctx.mul(lam, ctx.frobenius(lam, n))
+    lam_xi = ctx.mul(lam, ctx.frobenius(lam, t))
     xi = Automorphism(
         group,
         _label_perm(group, lambda lab: (ctx.mul(lab[0], lam), ctx.mul(lab[1], lam_xi))),
@@ -296,7 +308,7 @@ def _peps_maps(group):
         return [a for a in scan if a.order() > 1]
 
 
-_FAMILY_MAPS = {"a2": _a2_maps, "b2": _b2_maps, "peps": _peps_maps}
+_FAMILY_MAPS = {"a2": _xi_phi_maps, "b2": _xi_phi_maps, "peps": _peps_maps}
 
 
 def known_aut_generators(group):
@@ -326,12 +338,6 @@ class FusionPartition:
         self.classes = classes
         self.sizes = tuple(sorted(len(c) for c in classes))
 
-    def class_of(self, i):
-        for c in self.classes:
-            if i in c:
-                return c
-        raise NotFound(f"no class contains {i}")
-
 
 def fusion_classes(group, auts):
     parts = orbits([a.perm for a in auts], group.n)
@@ -340,10 +346,66 @@ def fusion_classes(group, auts):
 
 
 def aut_group_order(group, auts):
-    """Order of the permutation group the maps generate."""
+    """Order of the permutation group the maps generate.
+
+    The exact-sequence count of _exact_sequence_order when it applies,
+    else a Schreier-Sims chain on all group.n elements.
+    """
     if not auts:
         return 1
-    return StabChain([a.perm for a in auts], group.n).order()
+    order = _exact_sequence_order(group, auts)
+    if order is None:
+        order = StabChain([a.perm for a in auts], group.n).order()
+    return order
+
+
+def _exact_sequence_order(group, auts):
+    """|<auts>| = |Z|^dim V * |image on V| for a special group, else None.
+
+    Applies to a special 2-group whose v_basis tag fits the table,
+    2^dim V * |Z| = |G|. Then Z = Z(G) = G' = Phi(G) is
+    characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel K = Hom(V, Z):
+    an automorphism acting trivially on V is x -> x d(x) with d: G -> Z a
+    homomorphism, which kills Phi(G) = Z because Z is elementary abelian;
+    conversely every d in Hom(V, Z) gives such a bijection. So
+    |<auts>| = |<auts> & K| * |image of <auts> in GL(V)|.
+
+    A map whose displacement g^-1 phi(g) lies in Z for every generator g
+    of G fixes a spanning set of V, so it lies in K. For phi_d, phi_e in
+    K, phi_d(phi_e(x)) = x e(x) d(x) since d kills Z: composition adds
+    displacements. The displacement vector over the generators is
+    therefore GF(2)-additive, and injective because a homomorphism is
+    fixed by its values on generators. The maps in K thus generate all of
+    K exactly when their vectors have GF(2) rank dim V * dim Z, and then
+    |<auts> & K| = |Z|^dim V. Any other case returns None, and the caller
+    runs the full chain. Z gets its coordinates from the table alone; the
+    image order comes from a chain on the 2^dim V vectors of V, in the
+    label coordinates that verify_lemma31 also uses.
+    """
+    if "v_basis" not in group.meta:
+        return None
+    if not group.is_special_2group():
+        return None
+    dim_v = len(group.meta["v_basis"])
+    centre = group.center()
+    if (1 << dim_v) * centre.order != group.n:
+        return None
+    mul, inv = group.mul, group.inv
+    # GF(2) coordinates on the elementary abelian Z, doubling a span
+    coord = {0: 0}
+    for z in centre.members:
+        if z not in coord:
+            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
+    dim_z = centre.order.bit_length() - 1
+    rows = []
+    for a in auts:
+        moves = [mul[inv[g]][a.perm[g]] for g in group.gens]
+        if all(d in centre for d in moves):
+            rows.append([(coord[d] >> j) & 1 for d in moves for j in range(dim_z)])
+    if Matrix(GF2, rows).rank() != dim_v * dim_z:
+        return None
+    points = [_matrix_point_perm(induced_action_on_quotient(group, a), dim_v) for a in auts]
+    return centre.order**dim_v * StabChain(points, 1 << dim_v).order()
 
 
 def brute_force_aut(group):
@@ -478,14 +540,16 @@ def _matrix_point_perm(mat, dim):
     return tuple(out)
 
 
-def verify_lemma31(group):
+def verify_lemma31(group, auts=None):
     """Re-derive the special-group automorphism structure from scratch.
 
-    Checks, in order: the central maps all certify and generate an
-    elementary abelian group of order |Z|^dim(V); the fusion class count
-    equals o(V) + o(M) - 1 for the induced module actions (orbit counts
-    include the zero vector); and the commutator map is an equivariant
-    surjection from the exterior square of V onto Z.
+    auts are certified known generators, known_aut_generators(group) by
+    default; the kernel is their "central" subset. Checks, in order: the
+    central maps generate an elementary abelian group of order
+    |Z|^dim(V); the fusion class count equals o(V) + o(M) - 1 for the
+    induced module actions (orbit counts include the zero vector); and the
+    commutator map is an equivariant surjection from the exterior square
+    of V onto Z.
     """
     family = group.meta.get("family")
     if family not in _FAMILY_MAPS:
@@ -497,7 +561,9 @@ def verify_lemma31(group):
     dim_z = len(group.meta["z_basis"])
     checks = []
 
-    kernel = central_maps(group)
+    if auts is None:
+        auts = known_aut_generators(group)
+    kernel = [a for a in auts if a.source == "central"]
     k_order = aut_group_order(group, kernel)
     z_order = group.center().order
     elementary = all(a.order() in (1, 2) for a in kernel) and all(
@@ -522,7 +588,6 @@ def verify_lemma31(group):
         }
     )
 
-    auts = known_aut_generators(group)
     fp = fusion_classes(group, auts)
     v_actions = [induced_action_on_quotient(group, a) for a in auts]
     m_actions = [induced_action_on_center(group, a) for a in auts]
@@ -587,7 +652,7 @@ def isomorphism_from_labels(src, dst, fn):
         maps.append(index[img])
     if len(set(maps)) != src.n:
         raise NotBijective("two elements share an image")
-    g = _certificate_witness(src.mul, dst.mul, maps)
+    g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
     if g >= 0:
         raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")
     return tuple(maps)
@@ -597,7 +662,7 @@ def find_isomorphism(src, dst):
     """Search for an isomorphism by generator images, smallest first.
 
     Same bounds and pruning as brute_force_aut. Returns the id map,
-    certified over all pairs, or raises NotFound.
+    certified by _certificate_witness, or raises NotFound.
     """
     if src.n > 64:
         raise TooLargeForBruteForce(f"order {src.n} exceeds 64")
@@ -634,7 +699,7 @@ def find_isomorphism(src, dst):
     maps = descend(0, [])
     if maps is None:
         raise NotFound("no isomorphism over the candidate images")
-    g = _certificate_witness(src.mul, dst.mul, maps)
+    g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
     if g >= 0:
         raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")
     return maps

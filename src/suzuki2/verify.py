@@ -575,7 +575,7 @@ def run_suzuki_suite(slow=False):
                 f"{pre}-lemma31",
                 "kernel size, fusion count and commutator pairing checks all pass",
                 True,
-                verify_lemma31(g)["all_passed"],
+                verify_lemma31(g, auts)["all_passed"],
             )
         )
         if spec.startswith(("a2", "b2")):

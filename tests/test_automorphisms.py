@@ -1,5 +1,7 @@
 """Tests for certified automorphisms, fusion, and the brute-force oracle."""
 
+import random
+
 import pytest
 
 from suzuki2.errors import (
@@ -14,10 +16,15 @@ from suzuki2.constructions import (
     build_b2,
     build_generalized_quaternion,
     build_homocyclic,
+    build_family,
     build_p_epsilon,
 )
+from suzuki2.permgrp import StabChain
 from suzuki2.automorphisms import (
     Automorphism,
+    _certificate_witness,
+    _exact_sequence_order,
+    _pairs_witness,
     aut_from_images,
     aut_group_order,
     brute_force_aut,
@@ -308,3 +315,76 @@ def test_isomorphism_from_labels_rejects_wrong_map():
         isomorphism_from_labels(pe, pe, lambda lab: (ctx.frobenius(lab[0]), lab[1]))
     with pytest.raises(NotBijective):
         isomorphism_from_labels(pe, pe, lambda lab: (lab[1], lab[0]))
+
+
+def test_exact_sequence_order_matches_full_chain():
+    for spec in ("a2:3:1", "b2:2", "peps"):
+        g = build_family(spec)
+        auts = known_aut_generators(g)
+        fast = _exact_sequence_order(g, auts)
+        assert fast is not None
+        assert fast == aut_group_order(g, auts) == StabChain([a.perm for a in auts], g.n).order()
+
+
+def test_untagged_groups_take_the_chain_path():
+    for spec in ("q:64", "hc:2:4"):
+        g = build_family(spec)
+        auts = brute_force_aut(g)
+        assert _exact_sequence_order(g, auts) is None
+        assert aut_group_order(g, auts) == len(auts)
+
+
+def test_missing_central_map_declines_and_fails_kernel_check():
+    g = build_a2(3, 1)
+    auts = known_aut_generators(g)
+    assert _exact_sequence_order(g, auts) is not None
+    assert auts[0].source == "central"
+    short = auts[1:]
+    assert _exact_sequence_order(g, short) is None
+    # the chain still sees every map, so the order is exact, not a guess
+    assert aut_group_order(g, short) == StabChain([a.perm for a in short], g.n).order()
+    rep = verify_lemma31(g, auts=short)
+    kernel = next(c for c in rep["checks"] if c["name"] == "central_kernel_order")
+    assert (kernel["computed"], kernel["expected"]) == (256, 512)
+    assert kernel["passed"] is False
+    assert rep["all_passed"] is False
+
+
+def test_column_and_pairs_certificates_agree():
+    g = build_b2(2)
+    rng = random.Random(20231227)
+    for _ in range(200):
+        rest = list(range(1, g.n))
+        rng.shuffle(rest)
+        perm = [0] + rest
+        assert _certificate_witness(g.mul, g.mul, perm, g.gens) == _pairs_witness(g.mul, g.mul, perm)
+    brute = brute_force_aut(g)
+    assert len(brute) == 15360
+    for a in brute:
+        assert _pairs_witness(g.mul, g.mul, a.perm) == -1 == _certificate_witness(
+            g.mul, g.mul, a.perm, g.gens
+        )
+
+
+def test_certificate_catches_one_bad_generator_column():
+    # y -> a y on the coset C = xH of H = <all generators but the last x>,
+    # with a = x g x^-1 for a generator g of H, so aC = C. Right
+    # multiplication by a generator of H keeps every coset, so only the
+    # column of x can fail, and it does: a is not central
+    g = build_a2(3, 1)
+    mul = g.mul
+    sub = g.subgroup_generated(g.gens[:-1])
+    x = g.gens[-1]
+    assert x not in sub
+    a = mul[mul[x][g.gens[0]]][g.inv[x]]
+    coset = {mul[x][h] for h in sub.members}
+    perm = [mul[a][y] if y in coset else y for y in range(g.n)]
+    bad = [
+        h
+        for h in g.gens
+        if [perm[row[h]] for row in mul] != [mul[m][perm[h]] for m in perm]
+    ]
+    assert bad == [x]
+    with pytest.raises(NotAHomomorphism):
+        Automorphism(g, perm)
+    assert _certificate_witness(mul, mul, perm, g.gens) == _pairs_witness(mul, mul, perm) >= 0
