@@ -7,8 +7,10 @@ printed and mapped to exit 2.
 
 Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
-keys: scenario, data_dir, results_dir, cache_dir, seed, budget, slow,
-jobs. The SUZUKI2_DATA environment variable overrides the data directory
+keys: scenario, data_dir, results_dir, cache_dir, seed, slow, jobs. The
+search budget belongs to `catalog discover --budget` alone, so a
+`budget` key is a configuration error rather than a silently ignored
+setting. The SUZUKI2_DATA environment variable overrides the data directory
 for catalog entries exactly as the data_dir key does.
 """
 
@@ -76,7 +78,12 @@ def parse_config(path):
             scenarios.append(_parse_scenario_line(value))
         elif key in ("data_dir", "results_dir", "cache_dir"):
             cfg[key] = value
-        elif key in ("seed", "budget", "jobs"):
+        elif key == "budget":
+            raise ToolkitError(
+                "budget is not a verify setting; pass it to "
+                "`suzuki2 catalog discover --budget N`"
+            )
+        elif key in ("seed", "jobs"):
             try:
                 cfg[key] = int(value)
             except ValueError:

@@ -294,15 +294,16 @@ PRESENTATION_COMMUTATORS = {
 }
 
 
-def check_p_epsilon_presentation(poly=PEPS_POLY):
+def check_p_epsilon_presentation(poly=PEPS_POLY, group=None):
     """Evaluate the explicit relation list for the order-512 group.
 
     With eps of minimal polynomial x^6+x^4+x^3+x+1, x_i = (eps^(i-1), 0)
     and z_j running over the GF(8) basis (1, eps^9, eps^18), every listed
     relation is evaluated in the constructed group. Returns per-relation
-    verdicts; a mismatch is reported, never corrected.
+    verdicts; a mismatch is reported, never corrected. group, when given,
+    is an already built build_p_epsilon(poly) and is used as is.
     """
-    g = build_p_epsilon(poly)
+    g = build_p_epsilon(poly) if group is None else group
     ctx = g.meta["ctx"]
     eps = g.meta["eps"]
     if ctx.minimal_polynomial(eps) != 0x5B:
@@ -356,16 +357,17 @@ def check_p_epsilon_presentation(poly=PEPS_POLY):
     }
 
 
-def p_epsilon_tables(poly=PEPS_POLY, eps=None):
+def p_epsilon_tables(poly=PEPS_POLY, eps=None, group=None):
     """Presentation coefficients read off the constructed group.
 
     Basis elements x_i = (eps^(i-1), 0) and z_j = (0, (eps^9)^(j-1)) turn
     every square and commutator into a word in the z's; the returned maps
     give the z-index tuples. Two choices of eps with the same minimal
     polynomial produce identical tables, which is the mechanical content
-    of the uniqueness argument.
+    of the uniqueness argument. group, when given, is an already built
+    build_p_epsilon(poly, eps) and is used as is.
     """
-    g = build_p_epsilon(poly, eps)
+    g = build_p_epsilon(poly, eps) if group is None else group
     ctx = g.meta["ctx"]
     eps = g.meta["eps"]
     zb = g.meta["z_basis"]

@@ -13,7 +13,13 @@ group):
 
 Subfields are represented inside the big field as the fixed points of
 x -> x^(2^m); there is no separate small-field element type.
+
+Each FieldContext multiplies through exp/log tables of a generator of
+the multiplicative group, built once per context from the bit-serial
+product poly_mod(poly_mul(x, y), poly).
 """
+
+from math import gcd
 
 from .errors import BadDegree, BadSubfield, DivisionByZero, PolynomialNotIrreducible
 
@@ -90,6 +96,30 @@ def poly_to_hex(mask):
     return format(mask, "#x").upper().replace("0X", "0x")
 
 
+def _power_tables(n, poly):
+    """exp and log tables of the smallest generator of GF(2^n)*.
+
+    The generator is x when poly is primitive. A candidate b generates
+    the group of order m = 2^n-1 exactly when 1, b, ..., b^(m-1) are
+    distinct, i.e. when its power walk, by the bit-serial product, does
+    not return to 1 before step m. exp holds two periods of the powers,
+    so exp[i + j] needs no reduction for logarithms i, j < m.
+    """
+    order = (1 << n) - 1
+    for base in (0b10 if n > 1 else 1, *range(3, order + 1)):
+        exp = [0] * (2 * order)
+        log = [0] * (order + 1)
+        x = 1
+        for k in range(order):
+            if k and x == 1:
+                break
+            exp[k] = exp[k + order] = x
+            log[x] = k
+            x = poly_mod(poly_mul(x, base), poly)
+        else:
+            return exp, log
+
+
 class FieldContext:
     """Immutable GF(2^n) context; all operations are pure functions on ints."""
 
@@ -109,6 +139,7 @@ class FieldContext:
         self.size = 1 << n
         # class of x, the canonical primitive element candidate
         self.t = 0b10 if n > 1 else 1
+        self._exp, self._log = _power_tables(n, poly)
 
     def __repr__(self):
         return f"FieldContext(n={self.n}, poly={poly_to_hex(self.poly)})"
@@ -132,7 +163,18 @@ class FieldContext:
         return x ^ y
 
     def mul(self, x, y):
-        return poly_mod(poly_mul(x, y), self.poly)
+        """x * y by discrete logarithms.
+
+        GF(2^n)* is cyclic of order 2^n-1 with generator g, so each
+        nonzero x is g^log[x] for exactly one log[x] in [0, 2^n-2], and
+        x * y = g^(log[x] + log[y]) = exp[log[x] + log[y]]; the sum is at
+        most 2(2^n-2), inside exp's two periods. A zero factor gives 0.
+        The tables are built from the bit-serial product, and tests
+        compare the two on every pair of small fields.
+        """
+        if x and y:
+            return self._exp[self._log[x] + self._log[y]]
+        return 0
 
     def inv(self, x):
         if x == 0:
@@ -169,15 +211,15 @@ class FieldContext:
         return acc
 
     def multiplicative_order(self, x):
-        """Least k >= 1 with x^k = 1, by direct power enumeration."""
+        """Least k >= 1 with x^k = 1.
+
+        x = g^log[x] in the cyclic group of order m = 2^n-1, and g^j has
+        order m / gcd(j, m).
+        """
         if x == 0:
             raise DivisionByZero("0 has no multiplicative order")
-        k = 1
-        acc = x
-        while acc != 1:
-            acc = self.mul(acc, x)
-            k += 1
-        return k
+        m = self.size - 1
+        return m // gcd(self._log[x], m)
 
     def is_generator(self, x):
         return x != 0 and self.multiplicative_order(x) == self.size - 1

@@ -14,6 +14,7 @@ extend-only, so identical generator lists reproduce identical chains.
 
 import random
 from math import lcm
+from operator import itemgetter
 
 from .errors import BadShape, NotBijective, NotFound, Unsupported
 
@@ -28,7 +29,15 @@ def identity_perm(n):
 
 
 def compose(p, q):
-    """Apply p, then q."""
+    """Apply p, then q.
+
+    itemgetter(*p)(q) is the tuple (q[p[0]], ..., q[p[n-1]]), which is
+    compose(p, q) by definition, built in C instead of by a generator. It
+    returns a bare item for a single argument and cannot be built from
+    none, so lengths 0 and 1 keep the generator.
+    """
+    if len(p) >= 2:
+        return itemgetter(*p)(q)
     return tuple(q[x] for x in p)
 
 
@@ -66,6 +75,11 @@ def orbit(gens, start, npoints=None):
     """Closure of {start} under the generators, in BFS order."""
     for g in gens:
         validate_permutation(g, npoints)
+    return _orbit(gens, start)
+
+
+def _orbit(gens, start):
+    """orbit() on generators the caller has already validated."""
     out = [start]
     seen = {start}
     frontier = [start]
@@ -84,12 +98,14 @@ def orbit(gens, start, npoints=None):
 
 def orbits(gens, npoints):
     """All orbits, each in BFS order, starting from the smallest unseen point."""
+    for g in gens:
+        validate_permutation(g, npoints)
     seen = set()
     parts = []
     for start in range(npoints):
         if start in seen:
             continue
-        part = orbit(gens, start, npoints)
+        part = _orbit(gens, start)
         seen.update(part)
         parts.append(part)
     return parts
@@ -136,7 +152,27 @@ def schreier_generator_words(gens, start, npoints=None):
 
 
 class StabChain:
-    """Deterministic stabilizer chain with order and membership tests."""
+    """Deterministic stabilizer chain with order and membership tests.
+
+    trans[l] maps each point c of the level-l basic orbit to the inverse
+    w_c = u_c^-1 of its transversal element u_c, where u_c sends base[l]
+    to c. Only inverses are stored, because every use needs them:
+
+    - Extending the orbit from c along a strong generator s reaches c^s
+      with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c.
+    - Stripping p at level l divides by the coset representative of
+      base[l]^p, i.e. replaces p by p u^-1 = p w.
+    - The Schreier generator of (b, s) is u_b s u_{b^s}^-1 = w_b^-1 (s w_{b^s}),
+      and it is the identity exactly when s w_{b^s} = w_b, which needs no
+      inverse. Each w is the inverse of the u a forward transversal would
+      hold, so the same generators reach _strip in the same order and the
+      chain (base, orbits, strong generators) is the one forward
+      transversals build.
+
+    Keeping both directions would double the memory of a chain, so _complete
+    inverts w_b at most once per orbit point, and only when some Schreier
+    generator at b is not the identity.
+    """
 
     __slots__ = ("npoints", "gens", "base", "strong", "trans", "orbit_order", "_id")
 
@@ -188,26 +224,26 @@ class StabChain:
             trans[b] = self._id
             order.append(b)
         gens = self.strong[level]
+        inverses = [invert(s) for s in gens]
         frontier = list(order)
         while frontier:
             nxt = []
             for pt in frontier:
-                u = trans[pt]
-                for s in gens:
+                w = trans[pt]
+                for s, s_inv in zip(gens, inverses):
                     img = s[pt]
                     if img not in trans:
-                        trans[img] = compose(u, s)
+                        trans[img] = compose(s_inv, w)
                         order.append(img)
                         nxt.append(img)
             frontier = nxt
 
     def _strip(self, p, level):
         for l in range(level, len(self.base)):
-            img = p[self.base[l]]
-            u = self.trans[l].get(img)
-            if u is None:
+            w = self.trans[l].get(p[self.base[l]])
+            if w is None:
                 return p, l
-            p = compose(p, invert(u))
+            p = compose(p, w)
         return p, len(self.base)
 
     def _complete(self, level):
@@ -215,14 +251,15 @@ class StabChain:
         self._extend_orbit(level)
         trans = self.trans[level]
         for b in list(self.orbit_order[level]):
-            u = trans[b]
+            w = trans[b]
+            u = None
             for s in self.strong[level]:
-                g = compose(u, s)
-                target = trans[s[b]]
-                if g == target:
+                h = compose(s, trans[s[b]])
+                if h == w:
                     continue
-                h = compose(g, invert(target))
-                h, stuck = self._strip(h, level + 1)
+                if u is None:
+                    u = invert(w)
+                h, stuck = self._strip(compose(u, h), level + 1)
                 if h == self._id:
                     continue
                 if stuck == len(self.base):

@@ -518,6 +518,8 @@ def run_suzuki_suite(slow=False):
     for spec, want in _SUITE_EXPECT.items():
         pre = spec.replace(":", "-")
         g = build_family(spec)
+        if spec == "peps":
+            pe = g  # the default P(eps), reused for its presentation checks below
         claims.append(
             _claim(
                 f"{pre}-order",
@@ -613,7 +615,7 @@ def run_suzuki_suite(slow=False):
         )
     )
 
-    pres = check_p_epsilon_presentation()
+    pres = check_p_epsilon_presentation(group=pe)
     claims.append(
         _claim(
             "peps-presentation",
@@ -626,7 +628,6 @@ def run_suzuki_suite(slow=False):
         _recorded("peps-presentation-relations", "relations evaluated", len(pres["relations"]))
     )
 
-    pe = build_p_epsilon()
     ctx = pe.meta["ctx"]
     eps = pe.meta["eps"]
     try:
@@ -653,7 +654,7 @@ def run_suzuki_suite(slow=False):
             "presentation tables agree for eps and eps^2, which share a "
             "minimal polynomial",
             True,
-            p_epsilon_tables() == p_epsilon_tables(eps=ctx.frobenius(eps)),
+            p_epsilon_tables(group=pe) == p_epsilon_tables(eps=ctx.frobenius(eps)),
         )
     )
 

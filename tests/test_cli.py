@@ -5,7 +5,7 @@ import json
 import pytest
 
 from suzuki2 import catalog, cli
-from suzuki2.errors import Unsupported
+from suzuki2.errors import ToolkitError, Unsupported
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import Matrix
 from suzuki2.repmod import GModule, direct_sum, module_to_text
@@ -257,6 +257,18 @@ def test_config_rejects_bad_input(capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "all", "--config", str(cfg)])
         assert code == 2, body
         assert err.startswith("error:"), body
+
+
+def test_config_rejects_budget_key(capsys, tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("scenario = theorem-dual n=3\nbudget = 500\n")
+    code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "catalog discover --budget" in err
+    assert "theorem-dual" not in out
+    with pytest.raises(ToolkitError, match="budget"):
+        cli.parse_config(cfg)
 
 
 def test_parse_config_values(tmp_path):

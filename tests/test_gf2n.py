@@ -81,7 +81,7 @@ def test_inv_zero_raises():
 
 def test_mul_against_naive_oracle():
     rng = random.Random(7)
-    for n in (2, 3, 4, 6, 8):
+    for n in (2, 3, 4, 6, 8, 9, 10, 11, 12):
         ctx = FieldContext(n)
         for _ in range(200):
             x = rng.randrange(ctx.size)
@@ -211,3 +211,48 @@ def test_pow_negative_exponent():
     t = ctx.t
     assert ctx.mul(ctx.pow(t, -1), t) == 1
     assert ctx.pow(t, -3) == ctx.inv(ctx.pow(t, 3))
+
+
+# moduli whose exp/log tables are checked exhaustively; 0x1F is irreducible
+# but not primitive (x has order 5 in GF(16)), so its tables use another base
+TABLE_MODULI = ((3, 0xB), (4, 0x13), (6, PEPS_POLY), (4, 0x1F))
+
+
+def bit_serial_mul(x, y, poly):
+    """The carryless multiply and reduction FieldContext.mul replaced."""
+    return poly_mod(poly_mul(x, y), poly)
+
+
+def power_walk_order(x, poly):
+    """Least k >= 1 with x^k = 1, by walking the powers of x."""
+    k, acc = 1, x
+    while acc != 1:
+        acc = bit_serial_mul(acc, x, poly)
+        k += 1
+    return k
+
+
+def test_table_modulus_kinds():
+    assert all(is_irreducible(p) for _, p in TABLE_MODULI)
+    assert not is_primitive(0x1F)
+    assert power_walk_order(0b10, 0x1F) == 5
+    ctx = FieldContext(4, 0x1F)
+    assert not ctx.is_generator(0b10)
+    assert ctx.multiplicative_order(0b10) == 5
+
+
+def test_table_mul_matches_bit_serial_on_all_pairs():
+    for n, poly in TABLE_MODULI:
+        ctx = FieldContext(n, poly)
+        for x in range(ctx.size):
+            for y in range(ctx.size):
+                assert ctx.mul(x, y) == bit_serial_mul(x, y, poly), (poly, x, y)
+
+
+def test_multiplicative_order_matches_power_walk():
+    for n, poly in TABLE_MODULI:
+        ctx = FieldContext(n, poly)
+        for x in range(1, ctx.size):
+            want = power_walk_order(x, poly)
+            assert ctx.multiplicative_order(x) == want, (poly, x)
+            assert ctx.is_generator(x) == (want == ctx.size - 1)

@@ -1,5 +1,7 @@
 """Tests for orbits, stabilizer chains, derived series, and random search."""
 
+import random
+
 import pytest
 
 from suzuki2.errors import BadShape, NotBijective, NotFound
@@ -261,3 +263,73 @@ def test_random_search_not_found():
     # 5 does not divide 24, so no subgroup of order 5 exists
     with pytest.raises(NotFound):
         random_subgroup_search(s4_gens(), 5, None, seed=1, budget=500)
+
+
+def genexpr_compose(p, q):
+    """The generator-expression product compose() replaced: apply p, then q."""
+    return tuple(q[x] for x in p)
+
+
+def test_compose_matches_genexpr_oracle():
+    rng = random.Random(11)
+    for n in (0, 1, 2, 64, 1024):
+        for _ in range(5):
+            p = list(range(n))
+            q = list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            p, q = tuple(p), tuple(q)
+            got = compose(p, q)
+            assert type(got) is tuple
+            assert got == genexpr_compose(p, q)
+            assert compose(p, list(q)) == got
+
+
+def random_generators(rng, n):
+    """One to three permutations, each moving a random subset of points."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(n), rng.randint(2, n))
+        images = support[:]
+        rng.shuffle(images)
+        p = list(range(n))
+        for x, y in zip(support, images):
+            p[x] = y
+        gens.append(tuple(p))
+    return gens
+
+
+def test_chain_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        gens = random_generators(rng, n)
+        chain = StabChain(gens, n)
+        ref = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        assert chain.order() == ref.order(), gens
+        probe = list(range(n))
+        rng.shuffle(probe)
+        assert chain.contains(probe) == ref.contains(combinatorics.Permutation(probe)), gens
+
+
+def test_chain_transversals_hold_inverses():
+    for gens in (sl32_gens(), gl1_8_gens(), s4_gens()):
+        chain = StabChain(gens)
+        for b, trans in zip(chain.base, chain.trans):
+            for c, w in trans.items():
+                assert w[c] == b
+                assert chain.contains(w)
+
+
+def test_orbits_validate_every_generator():
+    good = (1, 0, 3, 2, 4)
+    repeated = (1, 1, 3, 2, 4)
+    short = (1, 0, 3, 2)
+    for gens in ([repeated], [good, repeated], [good, good, repeated]):
+        with pytest.raises(NotBijective):
+            orbits(gens, 5)
+    for gens in ([short], [good, short]):
+        with pytest.raises(BadShape):
+            orbits(gens, 5)
+    assert orbits([good, good], 5) == [[0, 1], [2, 3], [4]]

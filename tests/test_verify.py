@@ -1,5 +1,6 @@
 """Scenario reports: verdicts, frozen claim values, determinism, run_all."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -151,6 +152,20 @@ def test_reports_byte_identical():
         lambda: verify.run_sp_lambda(1),
     ):
         assert verify.report_json(make()) == verify.report_json(make())
+
+
+# SHA-256 of each default-plan report, pinned with the benchmark
+REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "reference_reports.json"
+
+
+def test_default_plan_reports_match_pinned_digests(tmp_path):
+    # two runs of one build agree even when a change alters a report for
+    # good; the pinned digests catch that
+    want = json.loads(REFERENCE_DIGESTS.read_text())
+    assert len(want) == 11
+    verify.run_all({"results_dir": tmp_path})
+    got = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.json")}
+    assert got == want
 
 
 def test_unknown_claim_propagates():
