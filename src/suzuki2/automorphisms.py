@@ -22,6 +22,8 @@ independent oracle for small groups, and the fusion/orbit machinery
 feeds the verification scenarios.
 """
 
+from operator import itemgetter
+
 from .errors import (
     NotAHomomorphism,
     NotBijective,
@@ -108,73 +110,36 @@ class Automorphism:
         return Automorphism(self.group, invert(self.perm))
 
 
-def _extend_images(mul, gen_ids, images, state=None):
+def _extend_images(mul_src, mul_dst, gen_ids, images, state=None):
     """Grow a partial injective homomorphism by one generator image.
 
     state is (maps, hit, covered) for gen_ids[:-1]; None starts from the
-    identity alone. Consistency failures raise NotAHomomorphism, image
-    collisions NotBijective. Returns the new state; the input state is
-    not modified, so a search tree can share parent states.
+    identity alone and extends by every generator at once. Consistency
+    failures raise NotAHomomorphism, image collisions NotBijective.
+    Returns the new state; the input state is not modified, so a search
+    tree can share parent states.
     """
-    n = len(mul)
     if state is None:
-        maps = [-1] * n
+        maps = [-1] * len(mul_src)
         maps[0] = 0
-        hit = bytearray(n)
+        hit = bytearray(len(mul_dst))
         hit[0] = 1
         covered = [0]
-        pending = list(covered)
-        new_only = False
+        old = 0
     else:
         maps = list(state[0])
         hit = bytearray(state[1])
         covered = list(state[2])
-        pending = list(covered)
-        new_only = True
-    g_new = gen_ids[-1]
-    m_new = images[-1]
+        old = len(covered)
     pairs = list(zip(gen_ids, images))
+    newest = pairs[-1:]
     head = 0
-    while head < len(pending):
-        x = pending[head]
+    while head < len(covered):
+        x = covered[head]
         head += 1
         fx = maps[x]
         # elements covered before this call only need the new generator
-        todo = ((g_new, m_new),) if new_only and head <= len(state[2]) else pairs
-        for g, m in todo:
-            y = mul[x][g]
-            fy = mul[fx][m]
-            if maps[y] < 0:
-                if hit[fy]:
-                    raise NotBijective("two elements share an image")
-                maps[y] = fy
-                hit[fy] = 1
-                covered.append(y)
-                pending.append(y)
-            elif maps[y] != fy:
-                raise NotAHomomorphism("inconsistent generator images")
-    return maps, hit, covered
-
-
-def _hom_from_images(mul_src, mul_dst, gen_ids, images, total=True):
-    """Map extending generator images over what they generate, or raise.
-
-    Injectivity is enforced during the walk. With total=True the
-    generators must reach the whole source group.
-    """
-    n = len(mul_src)
-    maps = [-1] * n
-    maps[0] = 0
-    hit = bytearray(len(mul_dst))
-    hit[0] = 1
-    pending = [0]
-    pairs = list(zip(gen_ids, images))
-    head = 0
-    while head < len(pending):
-        x = pending[head]
-        head += 1
-        fx = maps[x]
-        for g, m in pairs:
+        for g, m in newest if head <= old else pairs:
             y = mul_src[x][g]
             fy = mul_dst[fx][m]
             if maps[y] < 0:
@@ -182,12 +147,37 @@ def _hom_from_images(mul_src, mul_dst, gen_ids, images, total=True):
                     raise NotBijective("two elements share an image")
                 maps[y] = fy
                 hit[fy] = 1
-                pending.append(y)
+                covered.append(y)
             elif maps[y] != fy:
                 raise NotAHomomorphism("inconsistent generator images")
-    if total and head < n:
-        raise NotAHomomorphism("generators do not reach the whole group")
-    return tuple(maps)
+    return maps, hit, covered
+
+
+def _first_extension(mul_src, mul_dst, gen_ids, choices, images=(), state=None):
+    """First total injective map on generator images from choices, or None.
+
+    choices[i] lists the candidate images of gen_ids[i]. The tree of
+    partial images is walked depth first in candidate order, each node
+    extended over the subgroup its generators generate, so a branch dies
+    at its first bad product and the leaf returned is the first total one
+    in lexicographic order of the image tuple. A total leaf satisfies
+    maps[x*g] = maps[x]*maps[g] for every x and generator g and is
+    injective, so between groups of one order it is an isomorphism; None
+    means no such map exists with these choices.
+    """
+    depth = len(images)
+    if depth == len(gen_ids):
+        return None if -1 in state[0] else state[0]
+    for c in choices[depth]:
+        trial = (*images, c)
+        try:
+            nxt = _extend_images(mul_src, mul_dst, gen_ids[: depth + 1], trial, state)
+        except (NotAHomomorphism, NotBijective):
+            continue
+        maps = _first_extension(mul_src, mul_dst, gen_ids, choices, trial, nxt)
+        if maps is not None:
+            return maps
+    return None
 
 
 def aut_from_images(group, images):
@@ -202,7 +192,9 @@ def aut_from_images(group, images):
                 f"image order {group.element_order(m)} differs from "
                 f"generator order {group.element_order(g)}"
             )
-    maps = _hom_from_images(group.mul, group.mul, group.gens, images)
+    maps = _extend_images(group.mul, group.mul, group.gens, images)[0]
+    if -1 in maps:
+        raise NotAHomomorphism("generators do not reach the whole group")
     return Automorphism(group, maps)
 
 
@@ -409,11 +401,33 @@ def _exact_sequence_order(group, auts):
 
 
 def brute_force_aut(group):
-    """Complete automorphism list by pruned generator-image search.
+    """Complete automorphism list, by cosets of generator-prefix stabilizers.
 
-    Candidates for each generator are the elements of matching order;
-    partial images are extended over the subgroup generated so far, so
-    inconsistent or non-injective branches die at the first bad product.
+    Candidates for each generator g_k are the elements of its order. Let
+    A_k be the automorphisms fixing g_0, ..., g_(k-1); A_0 = Aut(G), and
+    A_m = {1} for m generators, since an automorphism is determined by
+    its generator images.
+
+    Cosets: for each candidate c of g_k, _first_extension, with g_i
+    forced to g_i for i < k and g_k to c, returns an automorphism
+    alpha_c in A_k with alpha_c(g_k) = c, or None when there is none. It
+    is complete: a pruned branch already fails a product or injectivity
+    on the subgroup its prefix generates, so no automorphism lies below
+    it, and every other branch is walked to its leaves. If beta is in A_k
+    and beta(g_k) = c, then s = compose(beta, alpha_c^-1) (beta first)
+    fixes g_0, ..., g_k, so s is in A_(k+1) and beta = compose(s, alpha_c).
+    Conversely each compose(s, alpha_c) fixes g_0, ..., g_(k-1) and sends
+    g_k to alpha_c(g_k) = c. So A_k is the union over c of these cosets.
+    Maps in different cosets differ at g_k, and within a coset s ->
+    compose(s, alpha_c) is injective, so nothing is listed twice.
+
+    Order: the exhaustive tree search over the candidate lists emits its
+    automorphisms in lexicographic order of the generator image tuples.
+    At level k the first k images are fixed and the cosets come in
+    increasing c, so sorting each coset by its image tuple sorts the
+    level; A_0 comes out in exactly the tree's order. Every returned map
+    is certified by the Automorphism constructor, and the intermediate
+    levels are raw permutations that only feed those products.
     """
     if group.n > 64:
         raise TooLargeForBruteForce(f"order {group.n} exceeds 64")
@@ -425,27 +439,16 @@ def brute_force_aut(group):
         for g in gens
     ]
     mul = group.mul
-    found = []
-    images = []
-
-    def descend(depth, state):
-        for c in cands[depth]:
-            images.append(c)
-            try:
-                nxt = _extend_images(mul, gens[: depth + 1], images, state)
-            except (NotAHomomorphism, NotBijective):
-                nxt = None
-            if nxt is not None:
-                if depth + 1 == len(gens):
-                    maps = nxt[0]
-                    if -1 not in maps:
-                        found.append(Automorphism(group, maps, "bruteforce"))
-                else:
-                    descend(depth + 1, nxt)
-            images.pop()
-
-    descend(0, None)
-    return found
+    below = [tuple(range(group.n))]
+    for k in reversed(range(len(gens))):
+        fixed = [[g] for g in gens[:k]]
+        level = []
+        for c in cands[k]:
+            alpha = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
+            if alpha is not None:
+                level += sorted((compose(s, alpha) for s in below), key=itemgetter(*gens))
+        below = level
+    return [Automorphism(group, perm, "bruteforce") for perm in below]
 
 
 def _order_partition(group):
@@ -661,8 +664,10 @@ def isomorphism_from_labels(src, dst, fn):
 def find_isomorphism(src, dst):
     """Search for an isomorphism by generator images, smallest first.
 
-    Same bounds and pruning as brute_force_aut. Returns the id map,
-    certified by _certificate_witness, or raises NotFound.
+    Same bounds and pruned search as brute_force_aut; the first total
+    injective map in candidate order is a bijection because the orders
+    match. Returns the id map, certified by _certificate_witness, or
+    raises NotFound.
     """
     if src.n > 64:
         raise TooLargeForBruteForce(f"order {src.n} exceeds 64")
@@ -676,29 +681,10 @@ def find_isomorphism(src, dst):
         [x for x in range(dst.n) if dst_orders[x] == src.element_order(g)]
         for g in gens
     ]
-
-    def descend(depth, images):
-        for c in cands[depth]:
-            trial = images + [c]
-            last = depth + 1 == len(gens)
-            try:
-                maps = _hom_from_images(
-                    src.mul, dst.mul, gens[: depth + 1], trial, total=last
-                )
-            except (NotAHomomorphism, NotBijective):
-                continue
-            if last:
-                # injectivity was enforced during the walk and the
-                # orders match, so a total map is already a bijection
-                return maps
-            got = descend(depth + 1, trial)
-            if got is not None:
-                return got
-        return None
-
-    maps = descend(0, [])
+    maps = _first_extension(src.mul, dst.mul, gens, cands)
     if maps is None:
         raise NotFound("no isomorphism over the candidate images")
+    maps = tuple(maps)
     g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
     if g >= 0:
         raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")

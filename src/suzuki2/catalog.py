@@ -25,7 +25,7 @@ from .errors import (
     Unsupported,
 )
 from .gf2n import FieldContext
-from .linalg import GF2, Matrix, matrix_from_text
+from .linalg import GF2, Matrix, read_matrix, skip_comments
 from .permgrp import (
     DEFAULT_BUDGET,
     StabChain,
@@ -45,10 +45,6 @@ def sl_order(m, q):
     for i in range(2, m + 1):
         o *= q**i - 1
     return o
-
-
-def sp4_order(q):
-    return q**4 * (q**2 - 1) * (q**4 - 1)
 
 
 def sp_order(m, q):
@@ -214,7 +210,7 @@ def entry_sp4(f):
     mod = sp4_natural_module(f)
     gens = [g.blowup() for g in mod.matrices()]
     expected = {
-        "order": sp4_order(q),
+        "order": sp_order(2, q),
         "transitive": True,
         "solvable": False,
         "class": "iii",
@@ -317,21 +313,17 @@ def load_entry(path):
                 if m:
                     provenance[key] = int(m.group(1))
     gens = []
-    rest = lines
     expected = None
-    while True:
-        while rest and (not rest[0].strip() or rest[0].lstrip().startswith("#")):
-            rest = rest[1:]
-        if not rest:
+    idx = skip_comments(lines, 0)
+    while idx < len(lines):
+        if lines[idx].split()[0] == "expect":
+            expected = _parse_trailer(lines[idx])
+            if skip_comments(lines, idx + 1) < len(lines):
+                raise BadFormat("content after the expect trailer")
             break
-        if rest[0].split()[0] == "expect":
-            expected = _parse_trailer(rest[0])
-            for ln in rest[1:]:
-                if ln.strip() and not ln.lstrip().startswith("#"):
-                    raise BadFormat("content after the expect trailer")
-            break
-        mat, rest = matrix_from_text(rest)
+        mat, idx = read_matrix(lines, idx)
         gens.append(mat)
+        idx = skip_comments(lines, idx)
     if expected is None:
         raise BadFormat(f"{path.name}: missing expect trailer")
     if not gens:

@@ -259,14 +259,20 @@ class Matrix:
         return "\n".join(lines) + "\n"
 
 
-def matrix_from_text(lines):
-    """Parse one matrix from an iterator of lines; returns (Matrix, rest)."""
-    from .errors import BadFormat
-
-    lines = list(lines)
-    idx = 0
+def skip_comments(lines, idx):
+    """First index at or after idx whose line is neither blank nor a # comment."""
     while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("#")):
         idx += 1
+    return idx
+
+
+def read_matrix(lines, start):
+    """Parse one matrix block of a line list from index start, skipping
+    comments before it; returns (Matrix, index after the block). Line
+    numbers in errors count from start."""
+    from .errors import BadFormat
+
+    idx = skip_comments(lines, start)
     try:
         head = lines[idx].split()
         if head[0] != "field":
@@ -278,7 +284,7 @@ def matrix_from_text(lines):
             raise ValueError
         nrows, ncols = int(dims[1]), int(dims[2])
     except (ValueError, IndexError) as exc:
-        raise BadFormat(f"bad matrix header near line {idx + 1}") from exc
+        raise BadFormat(f"bad matrix header near line {idx - start + 1}") from exc
     ctx = FieldContext(f, poly)
     mask = (1 << f) - 1
     rows = []
@@ -289,10 +295,17 @@ def matrix_from_text(lines):
         try:
             packed = int(lines[idx].strip(), 16)
         except ValueError as exc:
-            raise BadFormat(f"bad row at line {idx + 1}") from exc
+            raise BadFormat(f"bad row at line {idx - start + 1}") from exc
         rows.append([(packed >> (f * j)) & mask for j in range(ncols)])
         idx += 1
-    return Matrix(ctx, rows), lines[idx:]
+    return Matrix(ctx, rows), idx
+
+
+def matrix_from_text(lines):
+    """Parse one matrix from an iterator of lines; returns (Matrix, rest)."""
+    lines = list(lines)
+    mat, idx = read_matrix(lines, 0)
+    return mat, lines[idx:]
 
 
 def _rref_rows(ctx, rows, width, stop_col=None):

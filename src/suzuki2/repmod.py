@@ -24,7 +24,7 @@ from .errors import (
     Undecided,
     Unsupported,
 )
-from .linalg import GF2, Matrix, Subspace, matrix_from_text
+from .linalg import GF2, Matrix, Subspace, read_matrix, skip_comments
 from .permgrp import orbits
 
 _POINT_BITS = 16
@@ -618,21 +618,18 @@ def module_to_text(module):
 
 def module_from_text(text):
     """Parse gen blocks back into a GModule."""
-    rest = text.splitlines() if isinstance(text, str) else list(text)
+    lines = text.splitlines() if isinstance(text, str) else list(text)
     action = {}
-    while True:
-        while rest and (not rest[0].strip() or rest[0].lstrip().startswith("#")):
-            rest = rest[1:]
-        if not rest:
-            break
-        head = rest[0].split()
+    idx = skip_comments(lines, 0)
+    while idx < len(lines):
+        head = lines[idx].split()
         if len(head) != 2 or head[0] != "gen":
-            raise BadFormat(f"expected a gen line, got {rest[0]!r}")
+            raise BadFormat(f"expected a gen line, got {lines[idx]!r}")
         sym = head[1]
         if sym in action:
             raise BadFormat(f"duplicate generator {sym!r}")
-        mat, rest = matrix_from_text(rest[1:])
-        action[sym] = mat
+        action[sym], idx = read_matrix(lines, idx + 1)
+        idx = skip_comments(lines, idx)
     if not action:
         raise BadFormat("no generator blocks found")
     first = next(iter(action.values()))

@@ -36,6 +36,7 @@ from .automorphisms import (
 )
 from .catalog import (
     SPORADICS,
+    data_directory,
     entry_path,
     entry_sp4,
     load_entry,
@@ -746,10 +747,29 @@ def _run_one(name, params):
     return report, elapsed_ms
 
 
-def cache_key(name, params, seed):
-    """Digest over scenario, canonical params, seed and package version."""
+def source_digest(data_dir=None):
+    """SHA-256 over the package's *.py files and the files of a data directory.
+
+    data_dir defaults to catalog.data_directory(). Each file enters as its
+    name, its size and its bytes, so the digest changes with any edit.
+    """
+    data = Path(data_dir) if data_dir is not None else data_directory()
+    files = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    if data.is_dir():
+        files += sorted(p for p in data.iterdir() if p.is_file())
+    h = hashlib.sha256()
+    for path in files:
+        blob = path.read_bytes()
+        h.update(f"{path.name}|{len(blob)}|".encode())
+        h.update(blob)
+    return h.hexdigest()
+
+
+def cache_key(name, params, seed, sources=""):
+    """Digest over scenario, canonical params, seed, package version and
+    the source_digest the run reads."""
     canon = ",".join(f"{k}={params[k]}" for k in sorted(params))
-    blob = f"{name}|{canon}|{seed}|{__version__}"
+    blob = f"{name}|{canon}|{seed}|{__version__}|{sources}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -760,8 +780,9 @@ def run_all(config):
     default DEFAULT_PLAN), data_dir, results_dir, cache_dir, seed, slow,
     jobs. Returns a list of {report, elapsed_ms, cached} in plan order
     regardless of job count. Only pass verdicts are cached, so a failure
-    caused by missing data never goes stale; the cache also assumes the
-    data files themselves are unchanged.
+    caused by missing data never goes stale, and the cache key covers the
+    package source and the data files, so an edit to either misses the
+    cache instead of replaying an old pass.
     """
     plan = []
     for item in config.get("scenarios", DEFAULT_PLAN):
@@ -777,11 +798,16 @@ def run_all(config):
 
     cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
     seed = int(config.get("seed", 0))
+    if cache_dir is not None:
+        keys = [
+            cache_key(name, params, seed, source_digest(params.get("data_dir")))
+            for name, params in plan
+        ]
     results = [None] * len(plan)
     misses = []
-    for idx, (name, params) in enumerate(plan):
+    for idx in range(len(plan)):
         if cache_dir is not None:
-            path = cache_dir / f"{cache_key(name, params, seed)}.json"
+            path = cache_dir / f"{keys[idx]}.json"
             if path.exists():
                 results[idx] = {
                     "report": json.loads(path.read_text()),
@@ -805,9 +831,7 @@ def run_all(config):
         results[idx] = {"report": report, "elapsed_ms": elapsed_ms, "cached": False}
         if cache_dir is not None and report["verdict"] == "pass":
             cache_dir.mkdir(parents=True, exist_ok=True)
-            name, params = plan[idx]
-            path = cache_dir / f"{cache_key(name, params, seed)}.json"
-            path.write_text(report_json(report))
+            (cache_dir / f"{keys[idx]}.json").write_text(report_json(report))
 
     results_dir = config.get("results_dir")
     if results_dir:

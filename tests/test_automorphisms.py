@@ -24,6 +24,7 @@ from suzuki2.automorphisms import (
     Automorphism,
     _certificate_witness,
     _exact_sequence_order,
+    _extend_images,
     _pairs_witness,
     aut_from_images,
     aut_group_order,
@@ -184,6 +185,54 @@ def test_aut_group_orders():
 def test_aut_group_order_peps():
     g = build_p_epsilon()
     assert aut_group_order(g, known_aut_generators(g)) == 16515072
+
+
+def tree_search_aut(group):
+    """Reference: every leaf of the full generator-image tree, in tree order.
+
+    This is the exhaustive search brute_force_aut ran before its coset
+    enumeration; it visits candidate images in increasing id order.
+    """
+    gens = list(group.gens)
+    cands = [
+        [x for x in range(group.n) if group.element_order(x) == group.element_order(g)]
+        for g in gens
+    ]
+    mul = group.mul
+    found = []
+    images = []
+
+    def descend(depth, state):
+        for c in cands[depth]:
+            images.append(c)
+            try:
+                nxt = _extend_images(mul, mul, gens[: depth + 1], images, state)
+            except (NotAHomomorphism, NotBijective):
+                nxt = None
+            if nxt is not None:
+                if depth + 1 == len(gens):
+                    if -1 not in nxt[0]:
+                        found.append(tuple(nxt[0]))
+                else:
+                    descend(depth + 1, nxt)
+            images.pop()
+
+    descend(0, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec", ["a2:3:1", "b2:1", "b2:2", "q:8", "q:16", "q:64", "hc:2:4", "hc:3:2"]
+)
+def test_coset_search_equals_tree_search(spec):
+    # q:64 and the hc groups have same-order candidates outside the
+    # orbit of a generator, so some first-hit searches come back empty
+    g = build_family(spec)
+    tree = tree_search_aut(g)
+    assert [a.perm for a in brute_force_aut(g)] == tree
+    assert len(set(tree)) == len(tree)
+    # find_isomorphism walks the same tree and stops at its first leaf
+    assert find_isomorphism(g, g) == tree[0]
 
 
 def test_brute_force_small_groups():

@@ -22,7 +22,6 @@ from suzuki2.catalog import (
     sl_natural_module,
     sl_order,
     sp4_natural_module,
-    sp4_order,
     sp6_generators,
     sp_order,
     symplectic_transvection,
@@ -51,9 +50,8 @@ def test_order_formulas():
     assert sl_order(2, 4) == 60
     assert sl_order(3, 4) == 60480
     assert sl_order(4, 2) == 20160
-    assert sp4_order(2) == 720
-    assert sp4_order(4) == 979200
-    assert sp_order(2, 2) == sp4_order(2)
+    assert sp_order(2, 2) == 720
+    assert sp_order(2, 4) == 979200
     assert sp_order(3, 2) == 1451520
 
 
@@ -234,7 +232,7 @@ def test_shipped_sporadics_verify():
         if name in half_factorials:
             assert entry.expected["order"] == half_factorials[name]
         assert verify_entry(entry)["passed"]
-    assert SPORADICS["sp4_2"]["order"] == sp4_order(2)
+    assert SPORADICS["sp4_2"]["order"] == sp_order(2, 2)
     assert SPORADICS["psu3_3"]["order"] == 27 * 8 * 28
     assert SPORADICS["g2_2"]["order"] == 2 * SPORADICS["psu3_3"]["order"]
 
@@ -299,3 +297,16 @@ def test_data_directory_env_override(tmp_path, monkeypatch):
     assert entry_path("a6") == tmp_path / "a6.txt"
     monkeypatch.delenv("SUZUKI2_DATA")
     assert entry_path("a6").parent.name == "data"
+
+
+def test_load_entry_skips_comments_between_blocks(tmp_path):
+    good = save_entry(entry_sl(2, 1), tmp_path / "good.txt")
+    head, trailer = good.split("expect", 1)
+    blocks = head.replace("field", "\n# between blocks\nfield")
+    p = tmp_path / "commented.txt"
+    p.write_text(blocks + "expect" + trailer + "\n# after the trailer\n")
+    assert load_entry(p).generators == load_entry(tmp_path / "good.txt").generators
+    p.write_text(blocks + "expect" + trailer + "field 1 poly=0x3\n")
+    with pytest.raises(BadFormat) as info:
+        load_entry(p)
+    assert str(info.value) == "content after the expect trailer"

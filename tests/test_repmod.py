@@ -424,3 +424,18 @@ def test_serialization_rejects_bad_input():
         module_from_text(good + good)  # duplicate symbols
     with pytest.raises(BadFormat):
         module_from_text("gen x\nfield oops\n")
+
+
+def test_serialization_error_messages_count_lines_from_the_block():
+    # comments and blank lines are skipped before a gen line and before
+    # its matrix header; line numbers count from the line after "gen x"
+    cases = {
+        "# c\n\ngen x\n# note\nfield 1 poly=0x3\ndim 1 1\nzz\n": "bad row at line 4",
+        "gen x\n\nfield 1\n": "bad matrix header near line 2",
+        "gen x\nfield 1 poly=0x3\ndim 2 1\n1\n": "truncated matrix data",
+        "# c\nnope x\n": "expected a gen line, got 'nope x'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(BadFormat) as info:
+            module_from_text(text)
+        assert str(info.value) == message

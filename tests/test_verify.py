@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from suzuki2 import verify
+from suzuki2.catalog import data_directory
 from suzuki2.errors import BadFormat, Unsupported
 from suzuki2.repmod import UNKNOWN
 
@@ -218,6 +220,39 @@ def test_run_all_cache_round_trip(tmp_path):
     bad = {"scenarios": [("theorem-dual", {"n": 4})], "cache_dir": tmp_path / "cache"}
     assert verify.run_all(bad)[0]["report"]["verdict"] == "fail"
     assert verify.run_all(bad)[0]["cached"] is False
+
+
+def test_cache_misses_after_a_data_file_changes(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_directory(), data)
+    cfg = {
+        "scenarios": [("small-eliminations", {"entry": "a6"})],
+        "data_dir": str(data),
+        "cache_dir": tmp_path / "cache",
+    }
+    first = verify.run_all(cfg)
+    assert first[0]["report"]["verdict"] == "pass"
+    assert verify.run_all(cfg)[0]["cached"] is True
+    # one byte of the leading comment: the entry still loads and passes,
+    # so only the key can tell this run from the cached one
+    path = data / "a6.txt"
+    text = path.read_bytes()
+    assert text.startswith(b"# a6:")
+    path.write_bytes(b"#!a6:" + text[5:])
+    again = verify.run_all(cfg)
+    assert again[0]["cached"] is False
+    assert again[0]["report"] == first[0]["report"]
+    assert verify.run_all(cfg)[0]["cached"] is True
+
+
+def test_source_digest_covers_the_data_files(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_directory(), data)
+    before = verify.source_digest(data)
+    assert before == verify.source_digest(data)
+    assert before == verify.source_digest(data_directory())
+    (data / "extra.txt").write_text("")
+    assert verify.source_digest(data) != before
 
 
 def test_run_all_jobs_keep_plan_order():
