@@ -7,11 +7,12 @@ printed and mapped to exit 2.
 
 Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
-keys: scenario, data_dir, results_dir, cache_dir, seed, slow, jobs. The
-search budget belongs to `catalog discover --budget` alone, so a
-`budget` key is a configuration error rather than a silently ignored
-setting. The SUZUKI2_DATA environment variable overrides the data directory
-for catalog entries exactly as the data_dir key does.
+keys: scenario, data_dir, results_dir, cache_dir, slow. The search
+budget belongs to `catalog discover --budget` alone, so a `budget` key
+is a configuration error rather than a silently ignored setting; so are
+`seed` and `jobs`, since reports are deterministic and scenarios run one
+after another. The SUZUKI2_DATA environment variable overrides the data
+directory for catalog entries exactly as the data_dir key does.
 """
 
 import argparse
@@ -84,18 +85,16 @@ def parse_config(path):
                 "`suzuki2 catalog discover --budget N`"
             )
         elif key in ("seed", "jobs"):
-            try:
-                cfg[key] = int(value)
-            except ValueError:
-                raise ToolkitError(f"{key} must be an integer, got {value!r}") from None
+            raise ToolkitError(
+                f"{key} is not a verify setting: scenarios are deterministic "
+                "and run one after another"
+            )
         elif key == "slow":
             if value.lower() not in ("true", "false"):
                 raise ToolkitError(f"slow must be true or false, got {value!r}")
             cfg[key] = value.lower() == "true"
         else:
             raise ToolkitError(f"unknown config key {key!r}")
-    if "seed" in cfg and not 0 <= cfg["seed"] < 2**64:
-        raise ToolkitError("seed must fit in 64 bits")
     if scenarios:
         cfg["scenarios"] = scenarios
     return cfg
@@ -260,8 +259,6 @@ def _cmd_verify(args):
         cfg["results_dir"] = args.out
     if args.slow:
         cfg["slow"] = True
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
     if args.data_dir:
         cfg["data_dir"] = args.data_dir
     if args.cache_dir:
@@ -352,7 +349,6 @@ def _build_parser():
     p_ver.add_argument("--config")
     p_ver.add_argument("--out")
     p_ver.add_argument("--slow", action="store_true")
-    p_ver.add_argument("--jobs", type=int)
     p_ver.add_argument("--data-dir")
     p_ver.add_argument("--cache-dir")
     p_ver.add_argument("--no-cache", action="store_true")

@@ -15,12 +15,18 @@ Three exponent-4 families are built on field-pair labels:
 Homocyclic and generalized quaternion groups cover the remaining cases
 of the classification the verification scenarios exercise.
 
+The a2, b2 and P(eps) rules share one shape, (a, b)(c, d) =
+(a+c, b+d+f(a, c)), and each builder certifies that its cocycle f is
+biadditive before the table is composed from the generator rows, which
+makes the rule associative (see _cocycle_rule and groups.closure).
+
 Each builder tags the group's meta dict with the family name, the field
 context, and GF(2)-bases of V = N/Z (the a-part) and of Z (the b-part),
 which the automorphism machinery consumes.
 """
 
 from math import gcd
+from operator import xor
 
 from .errors import (
     BadEpsilon,
@@ -50,6 +56,55 @@ def subfield_basis(ctx, elements):
     return basis
 
 
+def _cocycle_rule(f):
+    """Product (a, b)(c, d) = (a+c, b+d+f(a, c)) on pairs of bit vectors.
+
+    The a2, b2 and P(eps) families all multiply this way. The rule is
+    associative exactly when f(a, c) + f(a+c, e) = f(c, e) + f(a, c+e) for
+    all a, c, e; a biadditive f gives f(a, c) + f(a, e) + f(c, e) on both
+    sides, and f(0, c) = f(a, 0) = 0 makes (0, 0) the identity. So once
+    _check_biadditive(f, dim) passes, the rule meets the precondition of
+    groups.closure.
+    """
+
+    def rule(p, q):
+        a, b = p
+        c, d = q
+        return (a ^ c, b ^ d ^ f(a, c))
+
+    return rule
+
+
+def _check_biadditive(f, dim):
+    """Raise NotAGroup unless f is GF(2)-bilinear on GF(2)^dim x GF(2)^dim.
+
+    A map of bit vectors is biadditive over GF(2) iff it equals its
+    bilinear expansion B(a, c) = sum of f(e_i, e_j) over the bits i of a
+    and j of c. B is built row by row with the lowest set bit taken off:
+    B(e_i, c) = B(e_i, c - low(c)) + f(e_i, low(c)) for a basis row, and
+    B(a, c) = B(a - low(a), c) + B(low(a), c) otherwise. Comparing f with
+    B on every pair costs 2^(2 dim) evaluations of f and no more.
+    """
+    size = 1 << dim
+    basis = [[f(1 << i, 1 << j) for j in range(dim)] for i in range(dim)]
+    rows = [[0] * size]
+    for a in range(1, size):
+        low = a & -a
+        if a == low:
+            f_a = basis[low.bit_length() - 1]
+            row = [0] * size
+            for c in range(1, size):
+                low_c = c & -c
+                row[c] = row[c ^ low_c] ^ f_a[low_c.bit_length() - 1]
+        else:
+            row = list(map(xor, rows[a ^ low], rows[low]))
+        rows.append(row)
+    for a, row in enumerate(rows):
+        for c, want in enumerate(row):
+            if f(a, c) != want:
+                raise NotAGroup(f"cocycle is not biadditive at ({a}, {c})")
+
+
 def build_a2(n, k):
     """Exponent-4 group of order 2^(2n) twisted by theta = x -> x^(2^k)."""
     order_theta = theta_order(n, k)
@@ -61,15 +116,14 @@ def build_a2(n, k):
     mul = ctx.mul
     frob = [ctx.frobenius(x, k) for x in range(ctx.size)]
 
-    def rule(p, q):
-        a, b = p
-        c, d = q
-        return (a ^ c, b ^ d ^ mul(a, frob[c]))
+    def f(a, c):
+        return mul(a, frob[c])
 
+    _check_biadditive(f, n)
     seeds = [(1 << i, 0) for i in range(n)]
     g = closure(
         seeds,
-        rule,
+        _cocycle_rule(f),
         (0, 0),
         meta={
             "family": "a2",
@@ -114,16 +168,15 @@ def build_b2(n):
     mul = ctx.mul
     frob = [ctx.frobenius(x, n) for x in range(ctx.size)]
 
-    def rule(p, q):
-        a, b = p
-        c, d = q
-        return (a ^ c, b ^ d ^ mul(a, frob[c]))
+    def f(a, c):
+        return mul(a, frob[c])
 
+    _check_biadditive(f, 2 * n)
     seeds = [(1 << i, _b2_solutions(ctx, n, 1 << i)[0]) for i in range(2 * n)]
     subfield = ctx.subfield_elements(n)
     g = closure(
         seeds,
-        rule,
+        _cocycle_rule(f),
         (0, 0),
         meta={
             "family": "b2",
@@ -141,6 +194,18 @@ def build_b2(n):
     return g
 
 
+def _trace_cocycle(ctx, eps):
+    """Table of Tr(a*b^2*eps) over GF(2^6), Tr(u) = u + u^8, indexed [a][b]."""
+    mul = ctx.mul
+    return [
+        [
+            (lambda u: u ^ ctx.frobenius(u, 3))(mul(mul(a, mul(b, b)), eps))
+            for b in range(64)
+        ]
+        for a in range(64)
+    ]
+
+
 def build_p_epsilon(poly=PEPS_POLY, eps=None):
     """Order-512 group on GF(2^6) x GF(8) twisted by the trace cocycle.
 
@@ -156,24 +221,16 @@ def build_p_epsilon(poly=PEPS_POLY, eps=None):
         raise BadEpsilon(
             f"{hex(eps)} mod {hex(poly)} does not generate the multiplicative group"
         )
-    mul = ctx.mul
-    cocycle = [
-        [
-            (lambda u: u ^ ctx.frobenius(u, 3))(mul(mul(a, mul(b, b)), eps))
-            for b in range(64)
-        ]
-        for a in range(64)
-    ]
+    cocycle = _trace_cocycle(ctx, eps)
 
-    def rule(p, q):
-        a, x = p
-        b, w = q
-        return (a ^ b, x ^ w ^ cocycle[a][b])
+    def f(a, b):
+        return cocycle[a][b]
 
+    _check_biadditive(f, 6)
     seeds = [(1 << i, 0) for i in range(6)]
     g = closure(
         seeds,
-        rule,
+        _cocycle_rule(f),
         (0, 0),
         meta={
             "family": "peps",
@@ -190,7 +247,12 @@ def build_p_epsilon(poly=PEPS_POLY, eps=None):
 
 
 def build_homocyclic(m, exponent):
-    """Direct power of m cyclic groups of order 2^k."""
+    """Direct power of m cyclic groups of order 2^k.
+
+    The rule adds coordinates modulo the exponent, the product in the
+    direct power of Z/exponent, so it is associative with identity zero,
+    as groups.closure requires.
+    """
     if m < 1 or exponent < 2 or exponent & (exponent - 1):
         raise Unsupported("rank must be >= 1 and exponent a power of 2")
     if exponent**m > ORDER_CAP:
@@ -211,7 +273,15 @@ def build_homocyclic(m, exponent):
 
 
 def build_generalized_quaternion(order):
-    """Two-generator group with x^(order/2) = y^2 and x^y = x^-1."""
+    """Two-generator group with x^(order/2) = y^2 and x^y = x^-1.
+
+    The label (i, j) stands for x^i y^j, with m = order/2. In that group
+    y^j x^k = x^((-1)^j k) y^j, and y^2 = x^(m/2) is central, so
+    x^i y^j x^k y^l = x^(i + (-1)^j k + (m/2)[j and l]) y^(j xor l), which
+    is the rule. It is the multiplication of the dicyclic group in this
+    normal form (a bijection onto its 2m elements), hence associative with
+    identity (0, 0), as groups.closure requires.
+    """
     if order < 8 or order & (order - 1):
         raise Unsupported("order must be a power of 2, at least 8")
     if order > ORDER_CAP:

@@ -18,7 +18,6 @@ run_all TSV summary, never inside report JSON.
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from pathlib import Path
 
@@ -765,25 +764,31 @@ def source_digest(data_dir=None):
     return h.hexdigest()
 
 
-def cache_key(name, params, seed, sources=""):
-    """Digest over scenario, canonical params, seed, package version and
-    the source_digest the run reads."""
+def cache_key(name, params, sources=""):
+    """Digest over scenario, canonical params, package version and the
+    source_digest the run reads."""
     canon = ",".join(f"{k}={params[k]}" for k in sorted(params))
-    blob = f"{name}|{canon}|{seed}|{__version__}|{sources}"
+    blob = f"{name}|{canon}|{__version__}|{sources}"
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+CONFIG_KEYS = frozenset({"scenarios", "data_dir", "results_dir", "cache_dir", "slow"})
 
 
 def run_all(config):
     """Run the configured scenario plan; optionally write reports.
 
     config keys (all optional): scenarios (list of (name, params) pairs,
-    default DEFAULT_PLAN), data_dir, results_dir, cache_dir, seed, slow,
-    jobs. Returns a list of {report, elapsed_ms, cached} in plan order
-    regardless of job count. Only pass verdicts are cached, so a failure
-    caused by missing data never goes stale, and the cache key covers the
-    package source and the data files, so an edit to either misses the
-    cache instead of replaying an old pass.
+    default DEFAULT_PLAN), data_dir, results_dir, cache_dir, slow; any
+    other key raises BadFormat rather than being ignored. Returns a list
+    of {report, elapsed_ms, cached} in plan order. Only pass verdicts are
+    cached, so a failure caused by missing data never goes stale, and the
+    cache key covers the package source and the data files, so an edit to
+    either misses the cache instead of replaying an old pass.
     """
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise BadFormat(f"unknown verify settings {unknown}; know {sorted(CONFIG_KEYS)}")
     plan = []
     for item in config.get("scenarios", DEFAULT_PLAN):
         name, params = item
@@ -797,41 +802,21 @@ def run_all(config):
         plan.append((name, params))
 
     cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
-    seed = int(config.get("seed", 0))
-    if cache_dir is not None:
-        keys = [
-            cache_key(name, params, seed, source_digest(params.get("data_dir")))
-            for name, params in plan
-        ]
-    results = [None] * len(plan)
-    misses = []
-    for idx in range(len(plan)):
+    results = []
+    for name, params in plan:
         if cache_dir is not None:
-            path = cache_dir / f"{keys[idx]}.json"
+            key = cache_key(name, params, source_digest(params.get("data_dir")))
+            path = cache_dir / f"{key}.json"
             if path.exists():
-                results[idx] = {
-                    "report": json.loads(path.read_text()),
-                    "elapsed_ms": 0,
-                    "cached": True,
-                }
+                results.append(
+                    {"report": json.loads(path.read_text()), "elapsed_ms": 0, "cached": True}
+                )
                 continue
-        misses.append(idx)
-
-    def execute(idx):
-        report, elapsed_ms = _run_one(*plan[idx])
-        return idx, report, elapsed_ms
-
-    jobs = int(config.get("jobs", 1))
-    if jobs > 1 and len(misses) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ran = list(pool.map(execute, misses))
-    else:
-        ran = [execute(idx) for idx in misses]
-    for idx, report, elapsed_ms in ran:
-        results[idx] = {"report": report, "elapsed_ms": elapsed_ms, "cached": False}
+        report, elapsed_ms = _run_one(name, params)
+        results.append({"report": report, "elapsed_ms": elapsed_ms, "cached": False})
         if cache_dir is not None and report["verdict"] == "pass":
             cache_dir.mkdir(parents=True, exist_ok=True)
-            (cache_dir / f"{keys[idx]}.json").write_text(report_json(report))
+            path.write_text(report_json(report))
 
     results_dir = config.get("results_dir")
     if results_dir:

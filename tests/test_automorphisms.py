@@ -321,6 +321,16 @@ def test_verify_lemma31_all_families():
     assert onto["kernel_dim"] == 0
 
 
+def test_b2_4_at_order_4096():
+    # the constructor checks associativity exactly (Light's test)
+    g = build_b2(4)
+    assert g.order == 4096
+    auts = known_aut_generators(g)
+    # 2n(2^(2n) - 1) on V times |Hom(V, Z)| = 2^(2n^2), n = 4
+    assert aut_group_order(g, auts) == 2 * 4 * (2**8 - 1) * 2**32
+    assert verify_lemma31(g, auts)["all_passed"]
+
+
 def test_verify_lemma31_rejects_plain_groups():
     with pytest.raises(Unsupported):
         verify_lemma31(build_homocyclic(2, 4))

@@ -202,7 +202,6 @@ def test_verify_config_and_cache(capsys, tmp_path):
         "scenario = sl2-omega f=2\n"
         f"cache_dir = {tmp_path / 'cache'}\n"
         f"results_dir = {tmp_path / 'out'}\n"
-        "seed = 7\n"
     )
     code, out, _ = run(capsys, ["verify", "all", "--config", str(cfg)])
     assert code == 0
@@ -245,11 +244,11 @@ def test_verify_out_byte_identical(capsys, tmp_path):
 def test_config_rejects_bad_input(capsys, tmp_path):
     cases = [
         "colour = green\n",
-        "seed = 18446744073709551616\n",
+        "seed = 0\n",
         "scenario = theorem-dual n3\n",
         "just some words\n",
         "slow = maybe\n",
-        "jobs = many\n",
+        "jobs = 2\n",
     ]
     for body in cases:
         cfg = tmp_path / "bad.cfg"
@@ -271,15 +270,26 @@ def test_config_rejects_budget_key(capsys, tmp_path):
         cli.parse_config(cfg)
 
 
+def test_config_rejects_seed_and_jobs_keys(capsys, tmp_path):
+    for key in ("seed", "jobs"):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(f"scenario = theorem-dual n=3\n{key} = 1\n")
+        code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+        assert code == 2
+        assert err.startswith(f"error: {key} is not a verify setting")
+        assert "theorem-dual" not in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_parse_config_values(tmp_path):
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(
         "scenario = suzuki-suite slow=true\n"
         "scenario = theorem-dual n=6\n"
         "data_dir = /somewhere\n"
-        "jobs = 4\n"
         "slow = false\n"
-        "seed = 0\n"
     )
     parsed = cli.parse_config(cfg)
     assert parsed["scenarios"] == [
@@ -287,9 +297,8 @@ def test_parse_config_values(tmp_path):
         ("theorem-dual", {"n": 6}),
     ]
     assert parsed["data_dir"] == "/somewhere"
-    assert parsed["jobs"] == 4
     assert parsed["slow"] is False
-    assert parsed["seed"] == 0
+    assert set(parsed) == {"scenarios", "data_dir", "slow"}
 
 
 def test_entry_from_name_families():

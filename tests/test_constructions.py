@@ -9,12 +9,16 @@ from suzuki2.errors import (
     BadFormat,
     BadTheta,
     GroupTooLarge,
+    NotAGroup,
     Unsupported,
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import Matrix
+from suzuki2 import constructions
 from suzuki2.constructions import (
     PRESENTATION_COMMUTATORS,
+    _check_biadditive,
+    _trace_cocycle,
     PRESENTATION_SQUARES,
     build_a2,
     build_b2,
@@ -277,3 +281,36 @@ def test_build_p_epsilon_rejects_non_generator_eps():
     ninth = ctx.pow(ctx.t, 9)  # order 7, lies in the subfield
     with pytest.raises(BadEpsilon):
         build_p_epsilon(eps=ninth)
+
+
+def test_non_additive_frobenius_is_rejected(monkeypatch):
+    # x -> x^3 is not additive, so neither twisted cocycle is biadditive
+    monkeypatch.setattr(
+        FieldContext, "frobenius", lambda self, x, k=1: self.mul(x, self.mul(x, x))
+    )
+    with pytest.raises(NotAGroup, match="biadditive"):
+        build_a2(3, 1)
+    with pytest.raises(NotAGroup, match="biadditive"):
+        build_b2(2)
+
+
+@pytest.mark.parametrize("a, b", [(37, 21), (2, 8), (0, 5)])
+def test_check_biadditive_rejects_one_perturbed_cocycle_value(a, b):
+    ctx = FieldContext(6, PEPS_POLY)
+    cocycle = _trace_cocycle(ctx, ctx.t)
+    _check_biadditive(lambda x, y: cocycle[x][y], 6)
+    cocycle[a][b] ^= 1
+    with pytest.raises(NotAGroup, match="biadditive"):
+        _check_biadditive(lambda x, y: cocycle[x][y], 6)
+
+
+def test_build_p_epsilon_rejects_a_perturbed_cocycle(monkeypatch):
+    # (37, 21) is no generator edge, so only the biadditivity check sees it
+    def perturbed(ctx, eps):
+        table = _trace_cocycle(ctx, eps)
+        table[37][21] ^= 1
+        return table
+
+    monkeypatch.setattr(constructions, "_trace_cocycle", perturbed)
+    with pytest.raises(NotAGroup, match="biadditive"):
+        build_p_epsilon()

@@ -4,8 +4,46 @@ import itertools
 
 import pytest
 
+from suzuki2 import constructions
 from suzuki2.errors import GroupTooLarge, NotAGroup, NotNormal, Unsupported
-from suzuki2.groups import FiniteGroup, Subgroup, closure
+from suzuki2.gf2n import PEPS_POLY, FieldContext
+from suzuki2.groups import ORDER_CAP, FiniteGroup, Subgroup, closure
+
+
+def rule_filled_closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
+    """The former closure, kept as the oracle: every cell from the rule."""
+    seen = {identity}
+    order = [identity]
+    gens = []
+    for s in seeds:
+        if s not in seen:
+            seen.add(s)
+            order.append(s)
+        gens.append(s)
+    frontier = list(order)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = mul_rule(x, s)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise GroupTooLarge(f"closure exceeded cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    labels = sorted(seen)
+    if labels[0] != identity:
+        labels.remove(identity)
+        labels.insert(0, identity)
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = [[index[mul_rule(a, b)] for b in labels] for a in labels]
+    gen_ids = []
+    for s in gens:
+        i = index[s]
+        if i not in gen_ids:
+            gen_ids.append(i)
+    return FiniteGroup(table, gen_ids, labels=tuple(labels), meta=meta)
 
 
 def cyclic_rule(n):
@@ -220,6 +258,98 @@ def test_table_validation_catches_bad_tables():
         [5, 2, 4, 1, 3, 0],
     ]
     with pytest.raises(NotAGroup):
+        FiniteGroup(loop, [1, 2])
+
+
+def s3_compose(p, q):
+    return tuple(q[i] for i in p)
+
+
+LOCAL_CLOSURES = {
+    "cyclic-6": ([1], cyclic_rule(6), 0),
+    "q8": ([(1, 0), (0, 1)], dicyclic_rule(4), (0, 0)),
+    "dicyclic-12": ([(1, 0), (0, 1)], dicyclic_rule(6), (0, 0)),
+    "z4xz4": ([(1, 0), (0, 1)], pair_rule(cyclic_rule(4), cyclic_rule(4)), (0, 0)),
+    "s3": ([(1, 0, 2), (1, 2, 0)], s3_compose, (0, 1, 2)),
+    "shifted-identity": ([6], lambda a, b: ((a - 5 + b - 5) % 3) + 5, 5),
+    "repeated-seeds": ([1, 0, 1, 2], cyclic_rule(5), 0),
+    "trivial": ([], lambda a, b: 0, 0),
+}
+
+
+def same_group(g, h):
+    return (g.mul, g.labels, g.gens, g.inv) == (h.mul, h.labels, h.gens, h.inv)
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_CLOSURES))
+def test_composed_closure_equals_rule_filled_on_local_rules(name):
+    seeds, rule, identity = LOCAL_CLOSURES[name]
+    assert same_group(closure(seeds, rule, identity), rule_filled_closure(seeds, rule, identity))
+
+
+FAMILY_SPECS = [
+    "a2:3:1", "a2:5:1", "a2:5:2", "b2:1", "b2:2", "b2:3", "peps", "hc:2:4", "hc:3:4",
+] + [f"q:{1 << k}" for k in range(3, 11)]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_composed_closure_equals_rule_filled_on_families(spec, monkeypatch):
+    composed = constructions.build_family(spec)
+    monkeypatch.setattr(constructions, "closure", rule_filled_closure)
+    assert same_group(composed, constructions.build_family(spec))
+
+
+@pytest.mark.parametrize("power", [2, 4])
+def test_composed_closure_equals_rule_filled_on_other_eps(power, monkeypatch):
+    ctx = FieldContext(6, PEPS_POLY)
+    eps = ctx.pow(ctx.t, power)
+    composed = constructions.build_p_epsilon(PEPS_POLY, eps)
+    monkeypatch.setattr(constructions, "closure", rule_filled_closure)
+    assert same_group(composed, constructions.build_p_epsilon(PEPS_POLY, eps))
+
+
+def test_closure_rejects_a_rule_off_its_table():
+    # the non-associative loop of test_table_validation_catches_bad_tables
+    loop = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 4, 5, 2],
+        [2, 3, 0, 5, 1, 4],
+        [3, 4, 5, 0, 2, 1],
+        [4, 5, 1, 2, 0, 3],
+        [5, 2, 4, 1, 3, 0],
+    ]
+    with pytest.raises(NotAGroup):
+        closure([1, 2], lambda a, b: loop[a][b], 0)
+    # Z/4 with one wrong product on an edge the search does not follow
+    # (3 was reached from 2): only the edge cross-check can see it
+    def off_by_one(a, b):
+        return 2 if (a, b) == (3, 1) else (a + b) % 4
+
+    with pytest.raises(NotAGroup, match="disagrees"):
+        closure([1], off_by_one, 0)
+
+
+def test_swapped_entries_at_order_4096_are_rejected():
+    g = constructions.build_family("hc:2:64")
+    assert g.order == 4096
+    rows = [list(row) for row in g.mul]
+    rows[1234][2345], rows[1234][3000] = rows[1234][3000], rows[1234][2345]
+    with pytest.raises(NotAGroup, match="associativity"):
+        FiniteGroup(rows, g.gens)
+
+
+def test_light_test_covers_every_generator():
+    # a loop in which 1 passes Light's test and 2 does not; {1, 2}
+    # generates it, so only the pass through the last generator fails
+    loop = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ]
+    with pytest.raises(NotAGroup, match="through generator 2"):
         FiniteGroup(loop, [1, 2])
 
 

@@ -190,7 +190,6 @@ def test_run_all_writes_reports(tmp_path):
     cfg = {
         "scenarios": [("theorem-dual", {"n": 3}), ("sl2-omega", {"f": 2})],
         "results_dir": tmp_path,
-        "jobs": 2,
     }
     results = verify.run_all(cfg)
     assert [r["report"]["scenario"] for r in results] == ["theorem-dual", "sl2-omega"]
@@ -255,25 +254,19 @@ def test_source_digest_covers_the_data_files(tmp_path):
     assert verify.source_digest(data) != before
 
 
-def test_run_all_jobs_keep_plan_order():
-    cfg = {
-        "scenarios": [
-            ("theorem-dual", {"n": 3}),
-            ("sl2-omega", {"f": 2}),
-            ("sp-lambda", {"f": 1}),
-        ]
-    }
-    serial = [r["report"] for r in verify.run_all(cfg)]
-    parallel = [r["report"] for r in verify.run_all({**cfg, "jobs": 3})]
-    assert parallel == serial
-    assert [r["scenario"] for r in parallel] == ["theorem-dual", "sl2-omega", "sp-lambda"]
+def test_run_all_rejects_jobs_and_seed():
+    # neither knob changes a run, so neither is accepted and ignored
+    for key in ("jobs", "seed", "budget"):
+        with pytest.raises(BadFormat, match=key):
+            verify.run_all({"scenarios": [("theorem-dual", {"n": 3})], key: 1})
 
 
 def test_cache_key_separates_runs():
-    k1 = verify.cache_key("theorem-dual", {"n": 3}, 0)
-    assert k1 == verify.cache_key("theorem-dual", {"n": 3}, 0)
-    assert k1 != verify.cache_key("theorem-dual", {"n": 6}, 0)
-    assert k1 != verify.cache_key("theorem-dual", {"n": 3}, 1)
+    k1 = verify.cache_key("theorem-dual", {"n": 3})
+    assert k1 == verify.cache_key("theorem-dual", {"n": 3})
+    assert k1 != verify.cache_key("theorem-dual", {"n": 6})
+    assert k1 != verify.cache_key("sl2-omega", {"n": 3})
+    assert k1 != verify.cache_key("theorem-dual", {"n": 3}, "digest")
 
 
 def test_run_all_rejects_unknown_scenario():
