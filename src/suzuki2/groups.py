@@ -376,7 +376,11 @@ def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
     rows = {identity: tuple(range(len(labels)))}
     for s in gens:
         if s not in rows:
-            rows[s] = tuple([index[mul_rule(s, y)] for y in labels])
+            row = tuple([index.get(mul_rule(s, y)) for y in labels])
+            if None in row:
+                y = labels[row.index(None)]
+                raise NotAGroup(f"rule product {s!r} * {y!r} leaves the closed set")
+            rows[s] = row
     for y in order:
         if y not in rows:
             x, j = parent[y]

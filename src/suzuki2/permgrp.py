@@ -304,14 +304,18 @@ def normal_closure(group_gens, seed_perms, npoints):
 
 
 def derived_series(gens, npoints=None):
-    """Successive derived terms, starting at the first, until they stabilize."""
+    """Successive derived terms, starting at the first, until they stabilize.
+
+    Each term D' is a subgroup of the term D before it, so D' = D exactly
+    when D' contains the generators of D: that test stops the series
+    without building a chain of D only to read its order.
+    """
     if npoints is None:
         if not gens:
             raise BadShape("npoints required when there are no generators")
         npoints = len(gens[0])
     series = []
     current = [tuple(g) for g in gens]
-    prev_order = StabChain(current, npoints).order()
     while True:
         comms = []
         seen = set()
@@ -325,10 +329,8 @@ def derived_series(gens, npoints=None):
                     comms.append(c)
         dgens, dchain = normal_closure(current, comms, npoints)
         series.append(dchain)
-        d_order = dchain.order()
-        if d_order == 1 or d_order == prev_order:
+        if dchain.order() == 1 or all(dchain.contains(g) for g in current):
             return series
-        prev_order = d_order
         current = dgens
 
 

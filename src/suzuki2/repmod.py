@@ -121,7 +121,7 @@ def twist(module, k):
         ctx,
         module.dim,
         {
-            s: Matrix(ctx, [[ctx.frobenius(a, k) for a in row] for row in m.rows])
+            s: Matrix._of(ctx, [[ctx.frobenius(a, k) for a in row] for row in m.rows])
             for s, m in module.action.items()
         },
     )
@@ -183,7 +183,7 @@ def direct_sum(m1, m2):
     for s in m1.symbols:
         rows = [list(r) + [0] * d2 for r in m1.action[s].rows]
         rows += [[0] * d1 + list(r) for r in m2.action[s].rows]
-        action[s] = Matrix(m1.ctx, rows)
+        action[s] = Matrix._of(m1.ctx, rows)
     return GModule(m1.ctx, d1 + d2, action)
 
 
@@ -231,28 +231,22 @@ def point_permutations(module):
     bits = n * d
     if bits > _POINT_BITS:
         raise Unsupported(f"point space 2^{bits} exceeds 2^{_POINT_BITS}")
-    size = 1 << bits
-    mask = (1 << n) - 1
     perms = []
     for sym in module.symbols:
         rows = module.action[sym].rows
-        scaled = []
-        for i in range(d):
-            per = [0] * (mask + 1)
-            for c in range(1, mask + 1):
-                acc = 0
-                for j, a in enumerate(rows[i]):
-                    if a:
-                        acc |= ctx.mul(c, a) << (n * j)
-                per[c] = acc
-            scaled.append(per)
-        # img[p] fills in point order: clearing the top nonzero digit of p
-        # always lands on an already-computed point
-        img = [0] * size
-        for p in range(1, size):
-            i = (p.bit_length() - 1) // n
-            c = (p >> (n * i)) & mask
-            img[p] = img[p ^ (c << (n * i))] ^ scaled[i][c]
+        # point numbering is GF(2)-linear, so the image of p is the XOR of
+        # the images of its bits; bit k is the field element 1 << (k mod n)
+        # in coordinate k // n, and the points below 2^(k+1) are those
+        # below 2^k, then the same points with bit k set
+        img = [0]
+        for k in range(bits):
+            i, r = divmod(k, n)
+            c = 1 << r
+            b = 0
+            for j, a in enumerate(rows[i]):
+                if a:
+                    b |= ctx.mul(c, a) << (n * j)
+            img += [x ^ b for x in img]
         perms.append(tuple(img))
     return perms
 
@@ -262,17 +256,39 @@ def _unpack(n, d, p):
     return tuple((p >> (n * i)) & mask for i in range(d))
 
 
-def _orbit_span(module, orb):
+def _point_span(module, perms, p):
+    """Cyclic submodule generated by the vector packed as point p.
+
+    Packing is GF(2)-linear: coordinate i occupies bits [n*i, n*i + n)
+    and field addition is XOR, so the point of a sum is the XOR of the
+    points, and each generator permutation perm is GF(2)-linear on ints.
+    The loop keeps an XOR basis with distinct leading bits, in decreasing
+    order, so v = min(v, v ^ b) clears the leading bit of b from v exactly
+    when it is set. Every basis element is reduced from p or from perm[w]
+    for an earlier element w, so the basis spans a GF(2)-subspace W of the
+    span of the orbit of p; each element's images under every generator
+    are reduced into W, so W is invariant, and as the group is finite it
+    is the whole GF(2)-span of the orbit. The F-span of W, which the final
+    Subspace computes over GF(2^n), is then the F-span of the orbit, i.e.
+    the cyclic submodule: no scalar multiples of p need to be permuted.
+    At most n*d points enter the basis, so a span costs at most
+    n*d*|gens| table lookups and one echelon form.
+    """
     ctx = module.ctx
     n, d = ctx.n, module.dim
-    space = Subspace(ctx, [], d)
-    for p in orb:
-        if space.dim == d:
-            break
-        r = space.reduce(_unpack(n, d, p))
-        if any(r):
-            space = Subspace(ctx, list(space.basis) + [r], d)
-    return space
+    basis = [p]
+    queue = [p]
+    while queue:
+        w = queue.pop()
+        for perm in perms:
+            v = perm[w]
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+                basis.sort(reverse=True)
+                queue.append(v)
+    return Subspace(ctx, [_unpack(n, d, b) for b in basis], d)
 
 
 def is_irreducible(module, trials=64, seed=0):
@@ -291,7 +307,7 @@ def is_irreducible(module, trials=64, seed=0):
         for orb in orbits(perms, 1 << (ctx.n * d)):
             if orb[0] == 0:
                 continue
-            if _orbit_span(module, orb).dim < d:
+            if _point_span(module, perms, orb[0]).dim < d:
                 return False
         return True
     rng = random.Random(seed)
@@ -371,7 +387,7 @@ def submodule_lattice(module):
     for orb in orbits(perms, 1 << (n * d)):
         if orb[0] == 0:
             continue
-        s = _orbit_span(module, orb)
+        s = _point_span(module, perms, orb[0])
         if s not in index:
             index.add(s)
             members.append(s)
@@ -405,12 +421,12 @@ def submodule_module(module, w):
     _check_invariant(module, w)
     ctx = module.ctx
     if w.dim == 0:
-        return GModule(ctx, 0, {s: Matrix(ctx, []) for s in module.symbols})
-    base = Matrix(ctx, w.basis)
+        return GModule(ctx, 0, {s: Matrix._of(ctx, []) for s in module.symbols})
+    base = Matrix._of(ctx, w.basis)
     action = {}
     for s in module.symbols:
         mat = module.action[s]
-        action[s] = Matrix(ctx, [base.solve(mat.apply(b)) for b in w.basis])
+        action[s] = Matrix._of(ctx, [base.solve(mat.apply(b)) for b in w.basis])
     return GModule(ctx, w.dim, action)
 
 
@@ -429,7 +445,7 @@ def quotient_module(module, w):
             e[c] = 1
             r = w.reduce(mat.apply(e))
             rows.append([r[k] for k in free])
-        action[s] = Matrix(ctx, rows)
+        action[s] = Matrix._of(ctx, rows)
     return GModule(ctx, len(free), action)
 
 
@@ -457,9 +473,9 @@ def hom_space(m1, m2):
                 for j in range(d2):
                     if q[j][b]:
                         rows[a * d2 + j][col] ^= q[j][b]
-    ker = Matrix(m1.ctx, rows).kernel()
+    ker = Matrix._of(m1.ctx, rows).kernel()
     return [
-        Matrix(m1.ctx, [krow[i * d2 : (i + 1) * d2] for i in range(d1)])
+        Matrix._of(m1.ctx, [krow[i * d2 : (i + 1) * d2] for i in range(d1)])
         for krow in ker.rows
     ]
 
@@ -475,7 +491,7 @@ def _combine(ctx, homs, coeffs):
             for j, a in enumerate(row):
                 if a:
                     orow[j] ^= ctx.mul(c, a)
-    return Matrix(ctx, out)
+    return Matrix._of(ctx, out)
 
 
 def is_isomorphic(m1, m2, seed=0, trials=256):
@@ -493,11 +509,11 @@ def is_isomorphic(m1, m2, seed=0, trials=256):
         return True
     if not homs:
         return False
-    try:
-        if is_irreducible(m1) and is_irreducible(m2):
-            return homs[0].is_invertible()
-    except Unsupported:
-        pass
+    # past 2^16 points is_irreducible refutes or raises Unsupported, so
+    # the shortcut can only fire when both modules are small
+    small = m1.ctx.n * m1.dim <= _POINT_BITS
+    if small and is_irreducible(m1) and is_irreducible(m2):
+        return homs[0].is_invertible()
     ctx = m1.ctx
     k = len(homs)
     if ctx.size**k - 1 <= _ENUM_BOUND:

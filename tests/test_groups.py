@@ -378,3 +378,13 @@ def test_conjugate_and_commutator_identities():
             # x * [x,y] == y^-1 x y
             assert mul[x][g.commutator(x, y)] == g.conjugate(x, y)
             assert g.commutator(x, y) == 0 or mul[x][y] != mul[y][x]
+
+
+def test_closure_rejects_a_product_outside_the_closed_set():
+    # the search never multiplies 1 * 2, so 7 first shows up in the
+    # generator row of 1, where it has no index
+    def escapes(a, b):
+        return 7 if (a, b) == (1, 2) else (a + b) % 4
+
+    with pytest.raises(NotAGroup, match="1 \\* 2 leaves the closed set"):
+        closure([1], escapes, 0)

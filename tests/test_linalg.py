@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from suzuki2.errors import BadShape, FieldMismatch, NoSolution, SingularMatrix
+from suzuki2.errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatrix
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace, matrix_from_text, wedge_pairs
 
@@ -248,6 +248,47 @@ def test_text_two_matrices_stream():
     first, rest = matrix_from_text(lines)
     second, rest = matrix_from_text(rest)
     assert first == a and second == b and rest == []
+
+
+def test_entries_are_checked_where_they_enter():
+    with pytest.raises(ValueError):
+        Matrix(F4, [[5]])
+    with pytest.raises(ValueError):
+        Matrix(GF2, [[0, 1], [2, 0]])
+    with pytest.raises(BadShape):
+        Matrix(F4, [[1, 2], [3]])
+    # a row with bits past its last entry used to lose them silently
+    for row in ("2", "-1"):
+        with pytest.raises(BadFormat, match="row at line 3 is out of range"):
+            matrix_from_text(["field 1 poly=0x3", "dim 1 1", row])
+    with pytest.raises(BadFormat, match="row at line 4 is out of range"):
+        matrix_from_text(["field 2 poly=0x7", "dim 2 2", "f", "1f"])
+
+
+def test_computed_matrices_equal_their_checked_copies():
+    # every method that builds its result unchecked gives valid entries,
+    # tuple rows and the shape and hash a checked construction gives
+    rng = random.Random(15)
+    for ctx in (GF2, F4, F8):
+        a = rand_invertible(ctx, 3, rng)
+        b = rand_matrix(ctx, 3, 3, rng)
+        c = rand_matrix(ctx, 2, 3, rng)
+        for m in (
+            a + b,
+            a * b,
+            c.transpose(),
+            c.rref()[0],
+            c.kernel(),
+            c.transpose().kernel(),
+            a.inverse(),
+            a.tensor(c),
+            a.exterior_square(),
+            c.blowup(),
+        ):
+            copy = Matrix(m.ctx, m.rows)
+            assert m == copy and hash(m) == hash(copy)
+            assert m.shape == copy.shape
+            assert all(type(r) is tuple for r in m.rows)
 
 
 def test_subspace_membership_and_eq():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from suzuki2 import permgrp
+from suzuki2.catalog import entry_gamma_l1, entry_sl
 from suzuki2.errors import BadShape, NotBijective, NotFound
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix
@@ -225,6 +227,31 @@ def test_derived_series_sl32_perfect():
     assert res.order() == 168
     # perfect: derived subgroup of the residual is the residual
     assert derived_series(res.gens)[-1].order() == 168
+
+
+@pytest.mark.parametrize(
+    "entry, orders",
+    [
+        # SL2(32) is perfect: the first derived term is the group itself
+        pytest.param(lambda: entry_sl(2, 5), [32736], id="sl2_32"),
+        # GammaL1(2^10) = C_1023 : C_10, and [a, frob] = a on C_1023
+        pytest.param(lambda: entry_gamma_l1(10), [1023, 1], id="gamma_l1_10"),
+    ],
+)
+def test_derived_series_stops_when_a_term_repeats(entry, orders, monkeypatch):
+    terms = []
+    real = permgrp.normal_closure
+
+    def one_term(*args):
+        terms.append(args)
+        if len(terms) > len(orders):
+            raise AssertionError("derived series went past its last term")
+        return real(*args)
+
+    monkeypatch.setattr(permgrp, "normal_closure", one_term)
+    series = derived_series(entry().point_perms())
+    assert [c.order() for c in series] == orders
+    assert len(terms) == len(orders)
 
 
 def test_normal_closure_inside_s4():

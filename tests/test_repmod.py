@@ -2,6 +2,16 @@ import random
 
 import pytest
 
+from suzuki2 import repmod
+from suzuki2.catalog import (
+    SPORADICS,
+    entry_gamma_l1,
+    entry_path,
+    entry_sl,
+    entry_sp4,
+    load_entry,
+    sl_natural_module,
+)
 from suzuki2.errors import (
     BadFormat,
     BadShape,
@@ -14,6 +24,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace
+from suzuki2.permgrp import _orbit
 from suzuki2.repmod import (
     UNKNOWN,
     GModule,
@@ -238,6 +249,58 @@ def test_is_irreducible_beyond_the_point_bound():
         is_irreducible(comp)
 
 
+def _orbit_span(module, orb):
+    """The span before packed spins: orbit points reduced one at a time."""
+    ctx = module.ctx
+    n, d = ctx.n, module.dim
+    space = Subspace(ctx, [], d)
+    for p in orb:
+        if space.dim == d:
+            break
+        r = space.reduce(tuple((p >> (n * i)) & ((1 << n) - 1) for i in range(d)))
+        if any(r):
+            space = Subspace(ctx, list(space.basis) + [r], d)
+    return space
+
+
+def _oracle_span(module, perms, p):
+    # the callers have validated perms, as orbits() does once for all orbits
+    return _orbit_span(module, _orbit(perms, p))
+
+
+# every shipped sporadic and catalog module, and natural + dual of SL2
+# over GF(4), GF(8) and GF(16)
+SPAN_CASES = (
+    [f"sporadic:{name}" for name in SPORADICS]
+    + [f"gamma_l1:{n}" for n in range(2, 11)]
+    + [f"sl:{m}:{f}" for m in range(2, 6) for f in range(1, 6) if m * f <= 10]
+    + [f"sp4:{f}" for f in (1, 2, 3)]
+    + [f"nat+dual:{f}" for f in (2, 3, 4)]
+)
+
+
+def _span_module(spec):
+    kind, *args = spec.split(":")
+    if kind == "sporadic":
+        return load_entry(entry_path(args[0])).module()
+    if kind == "nat+dual":
+        nat = sl_natural_module(2, int(args[0]))
+        return direct_sum(nat, dual(nat))
+    build = {"gamma_l1": entry_gamma_l1, "sl": entry_sl, "sp4": entry_sp4}[kind]
+    return build(*map(int, args)).module()
+
+
+@pytest.mark.parametrize("spec", SPAN_CASES)
+def test_point_spans_match_the_orbit_oracle(spec, monkeypatch):
+    module = _span_module(spec)
+    modules = [module]
+    if module.ctx.n * module.dim * (module.dim - 1) // 2 <= 16:
+        modules.append(exterior_square(module))
+    packed = [(submodule_lattice(m).members, is_irreducible(m)) for m in modules]
+    monkeypatch.setattr(repmod, "_point_span", _oracle_span)
+    assert [(submodule_lattice(m).members, is_irreducible(m)) for m in modules] == packed
+
+
 def test_lattice_of_an_irreducible_module():
     lat = submodule_lattice(sl3_2())
     assert [m.dim for m in lat] == [0, 3]
@@ -332,6 +395,35 @@ def test_is_isomorphic_basics():
         {s: p * mat * p.inverse() for s, mat in m.action.items()},
     )
     assert is_isomorphic(m, conj) is True
+
+
+def _companion(d, taps):
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d - 1):
+        rows[i][i + 1] = 1
+    for t in taps:
+        rows[d - 1][t] = 1
+    return Matrix(GF2, rows)
+
+
+def test_is_isomorphic_past_the_point_bound_skips_random_spins(monkeypatch):
+    # past 2^16 points is_irreducible can only refute or give up, so the
+    # Schur shortcut is not tried and no random spin runs
+    def no_spin(*args, **kwargs):
+        raise AssertionError("spin called")
+
+    monkeypatch.setattr(repmod, "spin", no_spin)
+    comp = GModule(GF2, 17, {"g": _companion(17, [0, 3])})
+    p = Matrix.identity(GF2, 17) + Matrix(
+        GF2, [[1 if j == i + 1 else 0 for j in range(17)] for i in range(17)]
+    )
+    conj = GModule(GF2, 17, {"g": p * comp.action["g"] * p.inverse()})
+    assert is_isomorphic(comp, conj) is True
+    one = GModule(GF2, 1, {"g": Matrix.identity(GF2, 1)})
+    a = direct_sum(one, GModule(GF2, 16, {"g": _companion(16, [0, 2, 3, 5])}))
+    b = direct_sum(one, GModule(GF2, 16, {"g": _companion(16, [0, 1, 3, 12])}))
+    assert len(hom_space(a, b)) == 1
+    assert is_isomorphic(a, b) is False
 
 
 def test_is_isomorphic_unknown_is_loud():
