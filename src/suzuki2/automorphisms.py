@@ -20,6 +20,12 @@ maps provably contain the whole kernel, and from a Schreier-Sims chain
 on all elements otherwise. A brute-force search doubles as an
 independent oracle for small groups, and the fusion/orbit machinery
 feeds the verification scenarios.
+
+The actions a map induces on V = G/Z and on Z are point permutations,
+read off the table in one pass per map; orbit counts and the image
+order in GL(V) use them directly. Matrices, built from the images of the
+unit points, appear only where a linear statement is checked (the
+commutator equivariance and ranks), with Z in table-derived coordinates.
 """
 
 from operator import itemgetter
@@ -31,7 +37,7 @@ from .errors import (
     TooLargeForBruteForce,
     Unsupported,
 )
-from .linalg import GF2, Matrix, wedge_pairs
+from .linalg import GF2, Matrix, point_matrix, wedge_pairs
 from .permgrp import StabChain, compose, invert, orbits, perm_order, validate_permutation
 
 
@@ -370,34 +376,29 @@ def _exact_sequence_order(group, auts):
     fixed by its values on generators. The maps in K thus generate all of
     K exactly when their vectors have GF(2) rank dim V * dim Z, and then
     |<auts> & K| = |Z|^dim V. Any other case returns None, and the caller
-    runs the full chain. Z gets its coordinates from the table alone; the
-    image order comes from a chain on the 2^dim V vectors of V, in the
-    label coordinates that verify_lemma31 also uses.
+    runs the full chain. Z gets its coordinates from _center_coords, V its
+    points from _point_actions, as in verify_lemma31, and the image order
+    comes from a chain on the 2^dim V points of V.
     """
     if "v_basis" not in group.meta:
         return None
     if not group.is_special_2group():
         return None
     dim_v = len(group.meta["v_basis"])
-    centre = group.center()
-    if (1 << dim_v) * centre.order != group.n:
+    coord = _center_coords(group)
+    if (1 << dim_v) * len(coord) != group.n:
         return None
     mul, inv = group.mul, group.inv
-    # GF(2) coordinates on the elementary abelian Z, doubling a span
-    coord = {0: 0}
-    for z in centre.members:
-        if z not in coord:
-            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
-    dim_z = centre.order.bit_length() - 1
+    dim_z = len(coord).bit_length() - 1
     rows = []
     for a in auts:
         moves = [mul[inv[g]][a.perm[g]] for g in group.gens]
-        if all(d in centre for d in moves):
+        if all(d in coord for d in moves):
             rows.append([(coord[d] >> j) & 1 for d in moves for j in range(dim_z)])
     if Matrix(GF2, rows).rank() != dim_v * dim_z:
         return None
-    points = [_matrix_point_perm(induced_action_on_quotient(group, a), dim_v) for a in auts]
-    return centre.order**dim_v * StabChain(points, 1 << dim_v).order()
+    v_points = _point_actions(group, [a.perm for a in auts])[0]
+    return len(coord) ** dim_v * StabChain(v_points, 1 << dim_v).order()
 
 
 def brute_force_aut(group):
@@ -478,69 +479,72 @@ def is_fif_group(group, auts):
     return merged == _order_partition(group)
 
 
-def _lift_ids(group):
-    """First label id per a-part; coset representatives mod the center."""
-    lift = {}
-    for idx, (a, _) in enumerate(group.labels):
-        if a not in lift:
-            lift[a] = idx
-    return lift
+def _center_coords(group):
+    """GF(2) coordinates of the members of an elementary abelian center.
+
+    Read off the table by doubling a span: the members reached so far
+    form a subgroup of order 2^k numbered 0 .. 2^k - 1, and the first
+    member z outside it adds w*z with coordinate coord[w] | 2^k for every
+    reached w. So z becomes basis vector k, and coord is GF(2)-linear.
+    """
+    mul = group.mul
+    coord = {0: 0}
+    for z in group.center().members:
+        if z not in coord:
+            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
+    return coord
 
 
-def _z_solver(group):
-    zb = group.meta["z_basis"]
-    width = group.meta["ctx"].n
-    zmat = Matrix(GF2, [[(z >> j) & 1 for j in range(width)] for z in zb])
-    return zmat, width
+def _point_actions(group, perms):
+    """The V points and the Z points of each permutation of element ids.
 
-
-def _z_coords(zmat, width, value):
-    return zmat.solve(tuple((value >> j) & 1 for j in range(width)))
+    In the tagged families v_basis is the standard basis of the a-part of
+    a label, and a central coset is the set of labels with one a-part. So
+    an automorphism sends V point a to the a-part of the image of any
+    label with a-part a, and Z point c, the center member with coordinate
+    c in _center_coords, to the coordinate of its image. Both are the
+    point permutations of the induced GF(2)-linear maps.
+    """
+    labels = group.labels
+    coord = _center_coords(group)
+    members = sorted(coord, key=coord.__getitem__)
+    lift = {a: i for i, (a, _) in enumerate(labels)}
+    lift = [lift[a] for a in range(len(lift))]
+    v_points = [tuple(labels[p[i]][0] for i in lift) for p in perms]
+    z_points = [tuple(coord[p[z]] for z in members) for p in perms]
+    return v_points, z_points
 
 
 def induced_action_on_quotient(group, aut):
-    """GF(2) matrix of the map aut induces on V = N/Z, row convention."""
-    v_basis = group.meta["v_basis"]
-    lift = _lift_ids(group)
-    dim = len(v_basis)
-    rows = []
-    for v in v_basis:
-        a = group.labels[aut.perm[lift[v]]][0]
-        rows.append([(a >> j) & 1 for j in range(dim)])
-    return Matrix(GF2, rows)
+    """GF(2) matrix of the map aut induces on V = G/Z, row convention."""
+    return point_matrix(_point_actions(group, [aut.perm])[0][0], len(group.meta["v_basis"]))
 
 
 def induced_action_on_center(group, aut):
-    """GF(2) matrix of the map aut induces on Z, row convention."""
-    zb = group.meta["z_basis"]
-    zmat, width = _z_solver(group)
-    index = {lab: i for i, lab in enumerate(group.labels)}
-    rows = []
-    for z in zb:
-        w = group.labels[aut.perm[index[(0, z)]]][1]
-        rows.append(list(_z_coords(zmat, width, w)))
-    return Matrix(GF2, rows)
+    """GF(2) matrix of the map aut induces on Z in _center_coords, rows."""
+    return point_matrix(_point_actions(group, [aut.perm])[1][0], len(group.meta["z_basis"]))
 
 
 def commutator_matrix(group):
-    """Matrix of the commutator map on wedge coordinates of V into Z."""
+    """Matrix of the commutator map from wedge coordinates of V into Z.
+
+    Z is in _center_coords, the basis induced_action_on_center uses.
+    """
     v_basis = group.meta["v_basis"]
-    lift = _lift_ids(group)
-    zmat, width = _z_solver(group)
+    coord = _center_coords(group)
+    dim_z = len(coord).bit_length() - 1
+    lift = {a: i for i, (a, _) in enumerate(group.labels)}
     rows = []
     for i, j in wedge_pairs(len(v_basis)):
-        cid = group.commutator(lift[v_basis[i]], lift[v_basis[j]])
-        rows.append(list(_z_coords(zmat, width, group.labels[cid][1])))
+        c = coord[group.commutator(lift[v_basis[i]], lift[v_basis[j]])]
+        rows.append([(c >> k) & 1 for k in range(dim_z)])
     return Matrix(GF2, rows)
 
 
-def _matrix_point_perm(mat, dim):
-    """The permutation a GF(2) matrix induces on all 2^dim row vectors."""
-    out = []
-    for v in range(1 << dim):
-        w = mat.apply([(v >> i) & 1 for i in range(dim)])
-        out.append(sum(bit << i for i, bit in enumerate(w)))
-    return tuple(out)
+def _check(name, computed, expected, **extra):
+    """One verify_lemma31 check; it passes when computed equals expected."""
+    extra.update(name=name, computed=computed, expected=expected, passed=computed == expected)
+    return extra
 
 
 def verify_lemma31(group, auts=None):
@@ -574,63 +578,25 @@ def verify_lemma31(group, auts=None):
         for i, a in enumerate(kernel)
         for b in kernel[i + 1 :]
     )
-    checks.append(
-        {
-            "name": "central_kernel_order",
-            "computed": k_order,
-            "expected": z_order**dim_v,
-            "passed": k_order == z_order**dim_v,
-        }
-    )
-    checks.append(
-        {
-            "name": "central_kernel_elementary_abelian",
-            "computed": elementary,
-            "expected": True,
-            "passed": elementary,
-        }
-    )
+    checks.append(_check("central_kernel_order", k_order, z_order**dim_v))
+    checks.append(_check("central_kernel_elementary_abelian", elementary, True))
 
     fp = fusion_classes(group, auts)
-    v_actions = [induced_action_on_quotient(group, a) for a in auts]
-    m_actions = [induced_action_on_center(group, a) for a in auts]
-    o_v = len(orbits([_matrix_point_perm(m, dim_v) for m in v_actions], 1 << dim_v))
-    o_m = len(orbits([_matrix_point_perm(m, dim_z) for m in m_actions], 1 << dim_z))
-    checks.append(
-        {
-            "name": "fusion_orbit_formula",
-            "computed": len(fp.classes),
-            "expected": o_v + o_m - 1,
-            "o_v": o_v,
-            "o_m": o_m,
-            "passed": len(fp.classes) == o_v + o_m - 1,
-        }
-    )
+    v_points, z_points = _point_actions(group, [a.perm for a in auts])
+    o_v = len(orbits(v_points, 1 << dim_v))
+    o_m = len(orbits(z_points, 1 << dim_z))
+    checks.append(_check("fusion_orbit_formula", len(fp.classes), o_v + o_m - 1, o_v=o_v, o_m=o_m))
 
     cmat = commutator_matrix(group)
     bad = sum(
         1
-        for av, am in zip(v_actions, m_actions)
-        if av.exterior_square() * cmat != cmat * am
+        for vp, zp in zip(v_points, z_points)
+        if point_matrix(vp, dim_v).exterior_square() * cmat != cmat * point_matrix(zp, dim_z)
     )
-    checks.append(
-        {
-            "name": "commutator_map_equivariant",
-            "computed": bad,
-            "expected": 0,
-            "passed": bad == 0,
-        }
-    )
+    checks.append(_check("commutator_map_equivariant", bad, 0))
     rank = cmat.rank()
-    checks.append(
-        {
-            "name": "commutator_map_surjective",
-            "computed": rank,
-            "expected": dim_z,
-            "kernel_dim": len(wedge_pairs(dim_v)) - rank,
-            "passed": rank == dim_z,
-        }
-    )
+    kernel_dim = len(wedge_pairs(dim_v)) - rank
+    checks.append(_check("commutator_map_surjective", rank, dim_z, kernel_dim=kernel_dim))
 
     return {
         "family": family,

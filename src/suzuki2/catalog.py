@@ -25,7 +25,7 @@ from .errors import (
     Unsupported,
 )
 from .gf2n import FieldContext
-from .linalg import GF2, Matrix, read_matrix, skip_comments
+from .linalg import GF2, Matrix, point_matrix, read_matrix, skip_comments
 from .permgrp import (
     DEFAULT_BUDGET,
     StabChain,
@@ -349,10 +349,6 @@ def _ambient_generators(n):
     raise Unsupported(f"no discovery ambient for dimension {n}")
 
 
-def _matrix_from_point_perm(perm, n):
-    return Matrix(GF2, [[(perm[1 << i] >> j) & 1 for j in range(n)] for i in range(n)])
-
-
 def discover_entry(target, seed, budget=DEFAULT_BUDGET, data_dir=None, write=True):
     """Seeded hunt for a sporadic entry; verifies it and writes the data file.
 
@@ -371,7 +367,7 @@ def discover_entry(target, seed, budget=DEFAULT_BUDGET, data_dir=None, write=Tru
         return len(orbit(list(pair), 1, npts)) == npts - 1
 
     p, q = random_subgroup_search(perms, order, transitive, seed, budget=budget, npoints=npts)
-    gens = [_matrix_from_point_perm(p, n), _matrix_from_point_perm(q, n)]
+    gens = [point_matrix(p, n), point_matrix(q, n)]
     expected = {"order": order, "transitive": True, "solvable": False, "class": "ii"}
     entry = CatalogEntry(target, n, gens, expected, {"seed": seed, "budget": budget})
     if not verify_entry(entry)["passed"]:

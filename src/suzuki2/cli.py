@@ -292,10 +292,11 @@ def _cmd_verify(args):
     results = verify.run_all(cfg)
     for res in results:
         report = res["report"]
-        public = {k: v for k, v in report["params"].items() if k != "data_dir"}
-        pstr = ",".join(f"{k}={public[k]}" for k in sorted(public))
         cached = " [cached]" if res["cached"] else ""
-        print(f"{report['scenario']} {pstr or '-'} -> {report['verdict']}{cached}")
+        print(
+            f"{report['scenario']} {verify.param_string(report) or '-'}"
+            f" -> {report['verdict']}{cached}"
+        )
     reports = [res["report"] for res in results]
     counts = {
         v: sum(1 for r in reports if r["verdict"] == v)

@@ -16,10 +16,10 @@ packed path pays for its packing: with it turned off, decompose_lemma22
 on the natural SL2(8) module took 0.24-0.26 s instead of 0.15-0.18 s
 (min of 5 runs, 2 vCPU, CPython 3.11.7).
 
-Entries are checked once, where they enter: Matrix(...) checks every
-entry (read_matrix and the catalog builders go through it), and results
-computed from matrices that are already valid are built by Matrix._of,
-which checks nothing.
+Entries are checked once, where they enter: Matrix(...) and Subspace(...)
+check every entry (read_matrix and the catalog builders go through
+Matrix), and results computed from matrices that are already valid are
+built by Matrix._of, which checks nothing.
 """
 
 from .errors import BadShape, FieldMismatch, NoSolution, SingularMatrix
@@ -31,6 +31,15 @@ GF2 = FieldContext(1)
 def wedge_pairs(n):
     """Index pairs (i, j), i < j, ordering the wedge basis of Lambda^2."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def point_matrix(points, dim):
+    """GF(2) matrix of a linear permutation of the 2^dim packed vectors.
+
+    Bit j of a point is coordinate j, so row i is the unpacked image of
+    the unit point 1 << i.
+    """
+    return Matrix(GF2, [[(points[1 << i] >> j) & 1 for j in range(dim)] for i in range(dim)])
 
 
 class Matrix:
@@ -418,10 +427,13 @@ class Subspace:
     def __init__(self, ctx, vectors, ambient):
         self.ctx = ctx
         self.ambient = ambient
-        rows = [list(v) for v in vectors if any(v)]
+        rows = [list(v) for v in vectors]
         for r in rows:
             if len(r) != ambient:
                 raise BadShape("vector length mismatch")
+            for x in r:
+                ctx.check(x)
+        rows = [r for r in rows if any(r)]
         red, pivots = _rref_rows(ctx, rows, ambient)
         self.basis = tuple(tuple(r) for r in red[: len(pivots)])
         self.pivots = tuple(pivots)

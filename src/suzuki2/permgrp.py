@@ -111,46 +111,6 @@ def orbits(gens, npoints):
     return parts
 
 
-def orbit_words(gens, start, npoints=None):
-    """Orbit of start plus, per point, a generator word reaching it.
-
-    Words are tuples of generator indices applied left to right; the
-    caller can replay them in any representation (matrices included).
-    """
-    for g in gens:
-        validate_permutation(g, npoints)
-    words = {start: ()}
-    out = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            w = words[pt]
-            for k, g in enumerate(gens):
-                img = g[pt]
-                if img not in words:
-                    words[img] = w + (k,)
-                    out.append(img)
-                    nxt.append(img)
-        frontier = nxt
-    return out, words
-
-
-def schreier_generator_words(gens, start, npoints=None):
-    """Stabilizer generators of start as (word_to_b, gen_index, word_to_bg).
-
-    Each triple encodes u_b * g * u_bg^-1 where u_w is the transversal
-    word; replaying them in another representation yields generators of
-    the point stabilizer by Schreier's lemma.
-    """
-    pts, words = orbit_words(gens, start, npoints)
-    out = []
-    for b in pts:
-        for k, g in enumerate(gens):
-            out.append((words[b], k, words[g[b]]))
-    return out
-
-
 class StabChain:
     """Deterministic stabilizer chain with order and membership tests.
 

@@ -200,13 +200,7 @@ def spin(module, vectors):
     the result carries the canonical echelon basis.
     """
     ctx = module.ctx
-    vecs = [tuple(v) for v in vectors]
-    for v in vecs:
-        if len(v) != module.dim:
-            raise BadShape("vector length mismatch")
-        for x in v:
-            ctx.check(x)
-    space = Subspace(ctx, vecs, module.dim)
+    space = Subspace(ctx, vectors, module.dim)
     mats = module.matrices()
     queue = list(space.basis)
     while queue:

@@ -61,7 +61,7 @@ from .errors import (
     Unsupported,
 )
 from .linalg import Matrix, Subspace
-from .permgrp import compose, identity_perm, invert, orbit, orbits, schreier_generator_words
+from .permgrp import orbit, orbits
 from .repmod import (
     UNKNOWN,
     decompose_lemma22,
@@ -147,23 +147,25 @@ def report_json(report):
 
 
 def _stabilizer_fixed_points(base_perms, base_point, other_perms, npts):
-    """Fixed points on the second action of the first action's stabilizer.
+    """Nonzero points w of the second action fixed by the stabilizer H_b.
 
-    Schreier generator words computed on the first action are replayed on
-    the second, which is sound because both come from the same generator
-    list of the same abstract group.
+    Both permutation lists are images of one generator list of the same
+    group H, so H acts on pairs (v, w), point v * npts + w, by both
+    actions at once. By orbit-stabilizer |H.(b, w)| = |H : H_b & H_w|,
+    and that equals |H.b| = |H : H_b| exactly when H_b <= H_w, i.e. when
+    H_b fixes w.
     """
-    stab = []
-    for wb, k, wbg in schreier_generator_words(base_perms, base_point, npts):
-        p = identity_perm(npts)
-        for i in wb:
-            p = compose(p, other_perms[i])
-        p = compose(p, other_perms[k])
-        q = identity_perm(npts)
-        for i in wbg:
-            q = compose(q, other_perms[i])
-        stab.append(compose(p, invert(q)))
-    return [w for w in range(1, npts) if all(s[w] == w for s in stab)]
+    pair_gens = [
+        tuple(x * npts + y for x in bp for y in op) for bp, op in zip(base_perms, other_perms)
+    ]
+    size = len(orbit(base_perms, base_point, npts))
+    return sorted(
+        p % npts
+        for part in orbits(pair_gens, npts * npts)
+        if len(part) == size
+        for p in part
+        if p // npts == base_point and p % npts
+    )
 
 
 def run_theorem_dual(n):
@@ -291,7 +293,7 @@ def run_small_eliminations(entry, data_dir=None):
     path = entry_path(entry, data_dir)
     try:
         cat = load_entry(path)
-    except (OSError, BadFormat) as exc:
+    except (OSError, ToolkitError) as exc:
         claims = [
             _claim(
                 "data-file",
@@ -718,6 +720,17 @@ DEFAULT_PLAN = (
 )
 
 
+def public_params(report):
+    """A report's params without the data_dir, which names no claim."""
+    return {k: v for k, v in report["params"].items() if k != "data_dir"}
+
+
+def param_string(report):
+    """The public params as sorted k=v pairs, comma-joined."""
+    public = public_params(report)
+    return ",".join(f"{k}={public[k]}" for k in sorted(public))
+
+
 def scenario_slug(name, params):
     parts = [name]
     for k in sorted(params):
@@ -825,12 +838,10 @@ def run_all(config):
         summary = ["scenario\tparams\tverdict\telapsed_ms\tcached"]
         for res in results:
             report = res["report"]
-            public = {k: v for k, v in report["params"].items() if k != "data_dir"}
-            slug = scenario_slug(report["scenario"], public)
+            slug = scenario_slug(report["scenario"], public_params(report))
             (out / f"{slug}.json").write_text(report_json(report))
-            pstr = ",".join(f"{k}={public[k]}" for k in sorted(public))
             summary.append(
-                f"{report['scenario']}\t{pstr}\t{report['verdict']}"
+                f"{report['scenario']}\t{param_string(report)}\t{report['verdict']}"
                 f"\t{res['elapsed_ms']}\t{1 if res['cached'] else 0}"
             )
         (out / "summary.tsv").write_text("\n".join(summary) + "\n")

@@ -19,13 +19,18 @@ from suzuki2.constructions import (
     build_family,
     build_p_epsilon,
 )
-from suzuki2.permgrp import StabChain
+from suzuki2 import automorphisms
+from suzuki2.groups import FiniteGroup
+from suzuki2.linalg import GF2, Matrix, wedge_pairs
+from suzuki2.permgrp import StabChain, orbits
 from suzuki2.automorphisms import (
     Automorphism,
     _certificate_witness,
+    _center_coords,
     _exact_sequence_order,
     _extend_images,
     _pairs_witness,
+    _point_actions,
     aut_from_images,
     aut_group_order,
     brute_force_aut,
@@ -447,3 +452,144 @@ def test_certificate_catches_one_bad_generator_column():
     with pytest.raises(NotAHomomorphism):
         Automorphism(g, perm)
     assert _certificate_witness(mul, mul, perm, g.gens) == _pairs_witness(mul, mul, perm) >= 0
+
+
+# The matrix route the point actions replaced: lifts by first a-part,
+# Z coordinates solved in the z_basis tag, points by applying matrices.
+
+
+def old_lift_ids(group):
+    lift = {}
+    for idx, (a, _) in enumerate(group.labels):
+        if a not in lift:
+            lift[a] = idx
+    return lift
+
+
+def old_z_coords(group, value):
+    width = group.meta["ctx"].n
+    zmat = Matrix(GF2, [[(z >> j) & 1 for j in range(width)] for z in group.meta["z_basis"]])
+    return list(zmat.solve(tuple((value >> j) & 1 for j in range(width))))
+
+
+def old_quotient_matrix(group, aut):
+    lift = old_lift_ids(group)
+    dim = len(group.meta["v_basis"])
+    rows = []
+    for v in group.meta["v_basis"]:
+        a = group.labels[aut.perm[lift[v]]][0]
+        rows.append([(a >> j) & 1 for j in range(dim)])
+    return Matrix(GF2, rows)
+
+
+def old_center_matrix(group, aut):
+    index = {lab: i for i, lab in enumerate(group.labels)}
+    return Matrix(
+        GF2,
+        [
+            old_z_coords(group, group.labels[aut.perm[index[(0, z)]]][1])
+            for z in group.meta["z_basis"]
+        ],
+    )
+
+
+def old_commutator_matrix(group):
+    v_basis = group.meta["v_basis"]
+    lift = old_lift_ids(group)
+    return Matrix(
+        GF2,
+        [
+            old_z_coords(group, group.labels[group.commutator(lift[v_basis[i]], lift[v_basis[j]])][1])
+            for i, j in wedge_pairs(len(v_basis))
+        ],
+    )
+
+
+def matrix_points(mat, dim):
+    out = []
+    for v in range(1 << dim):
+        w = mat.apply([(v >> i) & 1 for i in range(dim)])
+        out.append(sum(bit << i for i, bit in enumerate(w)))
+    return tuple(out)
+
+
+ORACLE_SPECS = ("a2:3:1", "a2:5:1", "b2:2", "b2:3", "peps")
+
+
+@pytest.fixture(scope="module", params=ORACLE_SPECS)
+def family_with_auts(request):
+    g = build_family(request.param)
+    return g, known_aut_generators(g)
+
+
+def test_point_actions_match_the_matrix_route(family_with_auts):
+    g, auts = family_with_auts
+    dim_v, dim_z = len(g.meta["v_basis"]), len(g.meta["z_basis"])
+    v_points, z_points = _point_actions(g, [a.perm for a in auts])
+    assert v_points == [matrix_points(old_quotient_matrix(g, a), dim_v) for a in auts]
+    # the Z points are in the table-derived basis: T sends table coordinate
+    # 1 << k to the z_basis coordinates of the member it numbers, so each
+    # new matrix M is the old one conjugated, M T = T M_old
+    member = {c: z for z, c in _center_coords(g).items()}
+    t = Matrix(GF2, [old_z_coords(g, g.labels[member[1 << k]][1]) for k in range(dim_z)])
+    for a, zp in zip(auts, z_points):
+        m = induced_action_on_center(g, a)
+        assert matrix_points(m, dim_z) == zp
+        assert m * t == t * old_center_matrix(g, a)
+        assert induced_action_on_quotient(g, a) == old_quotient_matrix(g, a)
+    assert commutator_matrix(g) * t == old_commutator_matrix(g)
+
+
+def test_lemma31_values_match_the_matrix_route(family_with_auts):
+    g, auts = family_with_auts
+    dim_v, dim_z = len(g.meta["v_basis"]), len(g.meta["z_basis"])
+    v_mats = [old_quotient_matrix(g, a) for a in auts]
+    z_mats = [old_center_matrix(g, a) for a in auts]
+    cmat = old_commutator_matrix(g)
+    checks = {c["name"]: c for c in verify_lemma31(g, auts)["checks"]}
+    formula = checks["fusion_orbit_formula"]
+    assert formula["o_v"] == len(orbits([matrix_points(m, dim_v) for m in v_mats], 1 << dim_v))
+    assert formula["o_m"] == len(orbits([matrix_points(m, dim_z) for m in z_mats], 1 << dim_z))
+    bad = sum(1 for av, am in zip(v_mats, z_mats) if av.exterior_square() * cmat != cmat * am)
+    assert checks["commutator_map_equivariant"]["computed"] == bad == 0
+    surjective = checks["commutator_map_surjective"]
+    assert surjective["computed"] == cmat.rank()
+    assert surjective["kernel_dim"] == len(wedge_pairs(dim_v)) - cmat.rank()
+
+
+def test_lemma31_fails_when_the_center_points_are_wrong(monkeypatch):
+    real = automorphisms._point_actions
+
+    def identity_on_center(group, perms):
+        v_points, z_points = real(group, perms)
+        return v_points, [tuple(range(len(zp))) for zp in z_points]
+
+    monkeypatch.setattr(automorphisms, "_point_actions", identity_on_center)
+    rep = verify_lemma31(build_a2(3, 1))
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["fusion_orbit_formula"]["o_m"] == 8
+    assert checks["fusion_orbit_formula"]["passed"] is False
+    assert checks["commutator_map_equivariant"]["passed"] is False
+    assert rep["all_passed"] is False
+
+
+def test_lemma31_does_not_depend_on_the_id_order():
+    # the shipped tables number their center 0 .. |Z| - 1 in coordinate
+    # order; reversing the other ids breaks that, and nothing may change
+    g = build_a2(3, 1)
+    auts = known_aut_generators(g)
+    pi = [0] + list(range(g.n - 1, 0, -1))
+    mul = [[0] * g.n for _ in range(g.n)]
+    labels = [None] * g.n
+    for x in range(g.n):
+        labels[pi[x]] = g.labels[x]
+        for y in range(g.n):
+            mul[pi[x]][pi[y]] = pi[g.mul[x][y]]
+    h = FiniteGroup(mul, [pi[x] for x in g.gens], labels, g.meta)
+    moved = []
+    for a in auts:
+        perm = [0] * g.n
+        for x in range(g.n):
+            perm[pi[x]] = pi[a.perm[x]]
+        moved.append(Automorphism(h, perm, a.source))
+    assert verify_lemma31(h, moved) == verify_lemma31(g, auts)

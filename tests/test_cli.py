@@ -241,6 +241,42 @@ def test_verify_out_byte_identical(capsys, tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_verify_lines_leave_out_the_data_dir(capsys, tmp_path):
+    # the scenario-error report keeps data_dir in its params; neither the
+    # CLI line nor summary.tsv nor the file name shows it
+    out = tmp_path / "out"
+    code, text, _ = run(
+        capsys,
+        ["verify", "small-eliminations", "--entry", "m11", "--data-dir", str(tmp_path), "--out", str(out)],
+    )
+    assert code == 1
+    assert text.splitlines() == [
+        "small-eliminations entry=m11 -> fail",
+        "summary: 0 pass, 1 fail, 0 unknown",
+    ]
+    report = json.loads((out / "small-eliminations-entry-m11.json").read_text())
+    assert report["params"] == {"entry": "m11", "data_dir": str(tmp_path)}
+    tsv = (out / "summary.tsv").read_text().splitlines()
+    assert tsv[1].startswith("small-eliminations\tentry=m11\tfail\t")
+    assert tsv[1].endswith("\t0")
+
+
+def test_verify_corrupted_data_file_fails(capsys, tmp_path):
+    lines = (catalog.data_directory() / "a6.txt").read_text().splitlines()
+    lines[4] = "0"
+    (tmp_path / "a6.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, text, _ = run(
+        capsys,
+        ["verify", "small-eliminations", "--entry", "a6", "--data-dir", str(tmp_path), "--out", str(out)],
+    )
+    assert code == 1
+    assert "small-eliminations entry=a6 -> fail" in text
+    claim = json.loads((out / "small-eliminations-entry-a6.json").read_text())["claims"][0]
+    assert claim["id"] == "data-file"
+    assert "catalog discover a6" in claim["computed"]
+
+
 def test_config_rejects_bad_input(capsys, tmp_path):
     cases = [
         "colour = green\n",

@@ -265,6 +265,14 @@ def test_entries_are_checked_where_they_enter():
         matrix_from_text(["field 2 poly=0x7", "dim 2 2", "f", "1f"])
 
 
+def test_subspace_checks_its_entries():
+    # each used to pass unchecked: -1 reduced to the basis ((1, 2),), 'x'
+    # to ((1, 1),), and 7 raised a bare IndexError from the log table
+    for ctx, vec in ((F4, (-1, 1)), (GF2, (1, "x")), (F4, (7, 0))):
+        with pytest.raises(ValueError, match="is not an element"):
+            Subspace(ctx, [vec], 2)
+
+
 def test_computed_matrices_equal_their_checked_copies():
     # every method that builds its result unchecked gives valid entries,
     # tuple rows and the shape and hash a checked construction gives

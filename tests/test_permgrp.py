@@ -5,7 +5,7 @@ import random
 import pytest
 
 from suzuki2 import permgrp
-from suzuki2.catalog import entry_gamma_l1, entry_sl
+from suzuki2.catalog import entry_gamma_l1, entry_sl, sl_natural_module
 from suzuki2.errors import BadShape, NotBijective, NotFound
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix
@@ -18,14 +18,21 @@ from suzuki2.permgrp import (
     is_solvable,
     normal_closure,
     orbit,
-    orbit_words,
     orbits,
     perfect_residual,
     perm_order,
     random_subgroup_search,
-    schreier_generator_words,
     validate_permutation,
 )
+from suzuki2.repmod import (
+    decompose_lemma22,
+    dual,
+    exterior_square,
+    point_permutations,
+    restrict_scalars,
+    submodule_module,
+)
+from suzuki2.verify import _stabilizer_fixed_points
 
 
 def mat_to_perm(m):
@@ -75,6 +82,75 @@ def enumerate_group(gens, npoints):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def orbit_words(gens, start, npoints=None):
+    """Orbit of start plus, per point, a generator word reaching it.
+
+    Words are tuples of generator indices applied left to right; the
+    caller can replay them in any representation.
+    """
+    for g in gens:
+        validate_permutation(g, npoints)
+    words = {start: ()}
+    out = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for pt in frontier:
+            w = words[pt]
+            for k, g in enumerate(gens):
+                img = g[pt]
+                if img not in words:
+                    words[img] = w + (k,)
+                    out.append(img)
+                    nxt.append(img)
+        frontier = nxt
+    return out, words
+
+
+def schreier_generator_words(gens, start, npoints=None):
+    """Stabilizer generators of start as (word_to_b, gen_index, word_to_bg).
+
+    Each triple encodes u_b * g * u_bg^-1 where u_w is the transversal
+    word; replaying them in another representation yields generators of
+    the point stabilizer by Schreier's lemma.
+    """
+    pts, words = orbit_words(gens, start, npoints)
+    out = []
+    for b in pts:
+        for k, g in enumerate(gens):
+            out.append((words[b], k, words[g[b]]))
+    return out
+
+
+def schreier_replay_fixed_points(base_perms, base_point, other_perms, npts):
+    """Oracle: replay the first action's Schreier words on the second."""
+    stab = []
+    for wb, k, wbg in schreier_generator_words(base_perms, base_point, npts):
+        p = identity_perm(npts)
+        for i in wb:
+            p = compose(p, other_perms[i])
+        p = compose(p, other_perms[k])
+        q = identity_perm(npts)
+        for i in wbg:
+            q = compose(q, other_perms[i])
+        stab.append(compose(p, invert(q)))
+    return [w for w in range(1, npts) if all(s[w] == w for s in stab)]
+
+
+def theorem_dual_actions(case):
+    """The two point actions a theorem-dual stabilizer-mismatch claim compares."""
+    if case == "natural-natural":
+        vp = point_permutations(sl_natural_module(3, 1))
+        return vp, vp
+    if case == "n3-dual":
+        v = sl_natural_module(3, 1)
+        return point_permutations(v), point_permutations(dual(v))
+    u = sl_natural_module(3, 2)
+    v = restrict_scalars(u)
+    piece = decompose_lemma22(u)["pieces"][0]["space"]
+    return point_permutations(v), point_permutations(submodule_module(exterior_square(v), piece))
 
 
 def test_perm_basics():
@@ -133,6 +209,18 @@ def test_schreier_words_give_stabilizer_elements():
             u = compose(u, gens[idx])
         elem = compose(p, invert(u))
         assert elem[0] == 0
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("n3-dual", []), ("n6-summand", []), ("natural-natural", [1])],
+    ids=["n3-dual", "n6-summand", "natural-natural"],
+)
+def test_pair_orbit_fixed_points_match_the_schreier_replay(case, expected):
+    vp, other = theorem_dual_actions(case)
+    npts = len(vp[0])
+    fixed = _stabilizer_fixed_points(vp, 1, other, npts)
+    assert fixed == schreier_replay_fixed_points(vp, 1, other, npts) == expected
 
 
 def test_chain_order_sl32():

@@ -82,6 +82,23 @@ def test_small_eliminations_missing_data(tmp_path):
     assert "catalog discover a6" in r["claims"][0]["computed"]
 
 
+def corrupted_a6(tmp_path):
+    """A copy of a6.txt whose first payload row is zero: a singular generator."""
+    lines = (data_directory() / "a6.txt").read_text().splitlines()
+    assert lines[3] == "dim 4 4"
+    lines[4] = "0"
+    (tmp_path / "a6.txt").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+def test_small_eliminations_corrupted_data(tmp_path):
+    r = verify.run_small_eliminations("a6", data_dir=corrupted_a6(tmp_path))
+    assert r["verdict"] == "fail"
+    assert r["claims"][0]["id"] == "data-file"
+    assert "SingularMatrix" in r["claims"][0]["computed"]
+    assert "catalog discover a6" in r["claims"][0]["computed"]
+
+
 def test_sl2_omega():
     r = verify.run_sl2_omega()
     assert r["verdict"] == "pass"
@@ -283,6 +300,14 @@ def test_run_all_converts_scenario_errors():
 
 def test_default_plan_covers_every_scenario():
     assert {name for name, _ in verify.DEFAULT_PLAN} == set(verify.SCENARIOS)
+
+
+def test_param_string_drops_the_data_dir():
+    report = {"params": {"entry": "a6", "data_dir": "/data"}}
+    assert verify.public_params(report) == {"entry": "a6"}
+    assert verify.param_string(report) == "entry=a6"
+    assert verify.param_string({"params": {"slow": False, "n": 3}}) == "n=3,slow=False"
+    assert verify.param_string({"params": {}}) == ""
 
 
 def test_scenario_slug():
