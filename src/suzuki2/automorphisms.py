@@ -204,9 +204,9 @@ def aut_from_images(group, images):
     return Automorphism(group, maps)
 
 
-def _label_perm(group, fn):
-    """Permutation of ids induced by a label-level map."""
-    index = {lab: i for i, lab in enumerate(group.labels)}
+def _label_perm(group, fn, dst=None):
+    """Id map induced by a label-level map from group into dst (default group)."""
+    index = {lab: i for i, lab in enumerate((dst or group).labels)}
     out = []
     for lab in group.labels:
         img = fn(lab)
@@ -284,26 +284,24 @@ def scan_peps_semilinear(group):
 
 
 def _peps_maps(group):
+    """alpha: (a, x) -> (eps^3 a, eps^9 x) and beta: (a, x) -> (eps a^4, x^4).
+
+    Both are automorphisms for every generator eps. The product is
+    (a, x)(c, y) = (a + c, x + y + f(a, c)) with f(a, c) = Tr(a c^2 eps)
+    and Tr(u) = u + u^8, which is GF(8)-linear and commutes with the
+    Frobenius. eps^9 has order 7, so it lies in GF(8), and
+    f(eps^3 a, eps^3 c) = Tr(eps^9 a c^2 eps) = eps^9 f(a, c); and
+    f(eps a^4, eps c^4) = Tr((a c^2 eps)^4) = f(a, c)^4. Both maps are
+    additive bijections on each coordinate, so they respect the product.
+    """
     ctx = group.meta["ctx"]
     eps = group.meta["eps"]
-    e3 = ctx.pow(eps, 3)
-    e9 = ctx.pow(eps, 9)
-    try:
-        alpha = Automorphism(
-            group,
-            _label_perm(group, lambda lab: (ctx.mul(e3, lab[0]), ctx.mul(e9, lab[1]))),
-        )
-        beta = Automorphism(
-            group,
-            _label_perm(
-                group, lambda lab: (ctx.mul(eps, ctx.pow(lab[0], 4)), ctx.frobenius(lab[1], 2))
-            ),
-        )
-        return [alpha, beta]
-    except NotAHomomorphism:
-        # the derived candidates missed; fall back to the full family scan
-        scan = scan_peps_semilinear(group)
-        return [a for a in scan if a.order() > 1]
+    e3, e9 = ctx.pow(eps, 3), ctx.pow(eps, 9)
+    alpha = _label_perm(group, lambda lab: (ctx.mul(e3, lab[0]), ctx.mul(e9, lab[1])))
+    beta = _label_perm(
+        group, lambda lab: (ctx.mul(eps, ctx.pow(lab[0], 4)), ctx.frobenius(lab[1], 2))
+    )
+    return [Automorphism(group, alpha), Automorphism(group, beta)]
 
 
 _FAMILY_MAPS = {"a2": _xi_phi_maps, "b2": _xi_phi_maps, "peps": _peps_maps}
@@ -401,6 +399,26 @@ def _exact_sequence_order(group, auts):
     return len(coord) ** dim_v * StabChain(v_points, 1 << dim_v).order()
 
 
+def _image_candidates(src, dst):
+    """Per generator of src, the ids of dst of its order: the search space
+    of brute_force_aut and find_isomorphism, bounded to order 64 and 4
+    generators."""
+    if src.n > 64:
+        raise TooLargeForBruteForce(f"order {src.n} exceeds 64")
+    if len(src.gens) > 4:
+        raise TooLargeForBruteForce(f"{len(src.gens)} generators exceed 4")
+    by_order = _ids_by_order(dst)
+    return [by_order.get(src.element_order(g), []) for g in src.gens]
+
+
+def _ids_by_order(group):
+    """Element order -> the ids of that order, in id order."""
+    by_order = {}
+    for x in range(group.n):
+        by_order.setdefault(group.element_order(x), []).append(x)
+    return by_order
+
+
 def brute_force_aut(group):
     """Complete automorphism list, by cosets of generator-prefix stabilizers.
 
@@ -430,15 +448,8 @@ def brute_force_aut(group):
     is certified by the Automorphism constructor, and the intermediate
     levels are raw permutations that only feed those products.
     """
-    if group.n > 64:
-        raise TooLargeForBruteForce(f"order {group.n} exceeds 64")
-    if len(group.gens) > 4:
-        raise TooLargeForBruteForce(f"{len(group.gens)} generators exceed 4")
+    cands = _image_candidates(group, group)
     gens = list(group.gens)
-    cands = [
-        [x for x in range(group.n) if group.element_order(x) == group.element_order(g)]
-        for g in gens
-    ]
     mul = group.mul
     below = [tuple(range(group.n))]
     for k in reversed(range(len(gens))):
@@ -452,17 +463,11 @@ def brute_force_aut(group):
     return [Automorphism(group, perm, "bruteforce") for perm in below]
 
 
-def _order_partition(group):
-    by_order = {}
-    for x in range(group.n):
-        by_order.setdefault(group.element_order(x), []).append(x)
-    return {frozenset(v) for v in by_order.values()}
-
-
 def is_at_group(group, auts):
     """True when same-order elements always fuse."""
     fp = fusion_classes(group, auts)
-    return {frozenset(c) for c in fp.classes} == _order_partition(group)
+    same_order = _ids_by_order(group).values()
+    return {frozenset(c) for c in fp.classes} == {frozenset(v) for v in same_order}
 
 
 def is_fif_group(group, auts):
@@ -476,7 +481,7 @@ def is_fif_group(group, auts):
     for ci, c in enumerate(fp.classes):
         cj = cls_of[group.inv[c[0]]]
         merged.add(frozenset(set(c) | set(fp.classes[cj])))
-    return merged == _order_partition(group)
+    return merged == {frozenset(v) for v in _ids_by_order(group).values()}
 
 
 def _center_coords(group):
@@ -612,13 +617,7 @@ def isomorphism_from_labels(src, dst, fn):
     """Certified id map from an explicit label-level bijection."""
     if src.n != dst.n:
         raise NotBijective(f"orders differ: {src.n} vs {dst.n}")
-    index = {lab: i for i, lab in enumerate(dst.labels)}
-    maps = []
-    for lab in src.labels:
-        img = fn(lab)
-        if img not in index:
-            raise NotBijective(f"image {img!r} is not an element of the target")
-        maps.append(index[img])
+    maps = _label_perm(src, fn, dst)
     if len(set(maps)) != src.n:
         raise NotBijective("two elements share an image")
     g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
@@ -635,19 +634,10 @@ def find_isomorphism(src, dst):
     match. Returns the id map, certified by _certificate_witness, or
     raises NotFound.
     """
-    if src.n > 64:
-        raise TooLargeForBruteForce(f"order {src.n} exceeds 64")
-    if len(src.gens) > 4:
-        raise TooLargeForBruteForce(f"{len(src.gens)} generators exceed 4")
+    cands = _image_candidates(src, dst)
     if src.n != dst.n or src.order_profile() != dst.order_profile():
         raise NotFound("order profiles differ")
-    dst_orders = [dst.element_order(x) for x in range(dst.n)]
-    gens = list(src.gens)
-    cands = [
-        [x for x in range(dst.n) if dst_orders[x] == src.element_order(g)]
-        for g in gens
-    ]
-    maps = _first_extension(src.mul, dst.mul, gens, cands)
+    maps = _first_extension(src.mul, dst.mul, list(src.gens), cands)
     if maps is None:
         raise NotFound("no isomorphism over the candidate images")
     maps = tuple(maps)

@@ -7,12 +7,15 @@ printed and mapped to exit 2.
 
 Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
-keys: scenario, data_dir, results_dir, cache_dir, slow. The search
-budget belongs to `catalog discover --budget` alone, so a `budget` key
-is a configuration error rather than a silently ignored setting; so are
-`seed` and `jobs`, since reports are deterministic and scenarios run one
-after another. The SUZUKI2_DATA environment variable overrides the data
-directory for catalog entries exactly as the data_dir key does.
+keys: scenario, data_dir, results_dir, cache_dir, slow. A scenario-line
+param or `verify --n/--f/--entry` flag that the scenario does not take is
+an error (exit 2), as is a missing one; data_dir is a run setting only,
+never a scenario-line param. The search budget belongs to `catalog
+discover --budget` alone, so a `budget` key is a configuration error
+rather than a silently ignored setting; so are `seed` and `jobs`, since
+reports are deterministic and scenarios run one after another. The
+SUZUKI2_DATA environment variable overrides the data directory for
+catalog entries exactly as the data_dir key does.
 """
 
 import argparse
@@ -244,15 +247,6 @@ def _cmd_catalog(args):
     raise Unsupported(f"unknown catalog action {args.action!r}")
 
 
-_PARAM_FLAGS = {
-    "theorem-dual": ("n", "use --n 3 or --n 6"),
-    "small-eliminations": ("entry", "use --entry <name>"),
-    "sl2-omega": ("f", None),
-    "sp-lambda": ("f", "use --f 1 or --f 2"),
-    "suzuki-suite": (None, None),
-}
-
-
 def _cmd_verify(args):
     cfg = parse_config(args.config) if args.config else {}
     if args.out:
@@ -267,26 +261,7 @@ def _cmd_verify(args):
         cfg.pop("cache_dir", None)
 
     if args.target != "all":
-        if args.target not in verify.SCENARIOS:
-            raise Unsupported(
-                f"unknown scenario {args.target!r}; know all, "
-                + ", ".join(sorted(verify.SCENARIOS))
-            )
-        flag, hint = _PARAM_FLAGS[args.target]
-        params = {}
-        if flag == "n":
-            if args.n is None:
-                raise Unsupported(f"{args.target} needs a degree; {hint}")
-            params["n"] = args.n
-        elif flag == "f":
-            if args.f is not None:
-                params["f"] = args.f
-            elif hint:
-                raise Unsupported(f"{args.target} needs a field degree; {hint}")
-        elif flag == "entry":
-            if args.entry is None:
-                raise Unsupported(f"{args.target} needs an entry; {hint}")
-            params["entry"] = args.entry
+        params = {k: getattr(args, k) for k in ("n", "f", "entry") if getattr(args, k) is not None}
         cfg["scenarios"] = [(args.target, params)]
 
     results = verify.run_all(cfg)

@@ -720,43 +720,32 @@ DEFAULT_PLAN = (
 )
 
 
-def public_params(report):
-    """A report's params without the data_dir, which names no claim."""
-    return {k: v for k, v in report["params"].items() if k != "data_dir"}
+# parameter names and number of defaults per scenario, read at import,
+# before anything (such as bench/tracer.py) wraps the functions
+_SIGNATURES = {
+    name: (fn.__code__.co_varnames[: fn.__code__.co_argcount], len(fn.__defaults__ or ()))
+    for name, fn in SCENARIOS.items()
+}
 
 
 def param_string(report):
-    """The public params as sorted k=v pairs, comma-joined."""
-    public = public_params(report)
-    return ",".join(f"{k}={public[k]}" for k in sorted(public))
+    """A report's params as sorted k=v pairs, comma-joined."""
+    return ",".join(f"{k}={v}" for k, v in sorted(report["params"].items()))
 
 
 def scenario_slug(name, params):
-    parts = [name]
-    for k in sorted(params):
-        parts.append(f"{k}-{str(params[k]).lower()}")
-    return "-".join(parts)
+    return "-".join([name] + [f"{k}-{str(v).lower()}" for k, v in sorted(params.items())])
 
 
-def _run_one(name, params):
+def _run_one(name, params, settings):
     t0 = time.perf_counter()
     try:
-        report = SCENARIOS[name](**params)
+        report = SCENARIOS[name](**params, **settings)
     except ToolkitError as exc:
-        report = _report(
-            name,
-            params,
-            [
-                _claim(
-                    "scenario-error",
-                    "the scenario ran to completion",
-                    "completed",
-                    f"{type(exc).__name__}: {exc}",
-                )
-            ],
-        )
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report, elapsed_ms
+        computed = f"{type(exc).__name__}: {exc}"
+        claim = _claim("scenario-error", "the scenario ran to completion", "completed", computed)
+        report = _report(name, params, [claim])
+    return report, int((time.perf_counter() - t0) * 1000)
 
 
 def source_digest(data_dir=None):
@@ -793,39 +782,49 @@ def run_all(config):
 
     config keys (all optional): scenarios (list of (name, params) pairs,
     default DEFAULT_PLAN), data_dir, results_dir, cache_dir, slow; any
-    other key raises BadFormat rather than being ignored. Returns a list
-    of {report, elapsed_ms, cached} in plan order. Only pass verdicts are
-    cached, so a failure caused by missing data never goes stale, and the
-    cache key covers the package source and the data files, so an edit to
-    either misses the cache instead of replaying an old pass.
+    other key raises BadFormat rather than being ignored, and so does,
+    before anything runs, a param the scenario's function does not take
+    or a required one left out. The run settings go to a scenario whose
+    function takes them: data_dir beside the params, slow into them
+    unless given. Returns a list of {report, elapsed_ms, cached} in plan
+    order. Only pass verdicts are cached, so a failure caused by missing
+    data never goes stale, and the cache key covers the package source
+    and the data files, so an edit to either misses the cache instead of
+    replaying an old pass.
     """
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise BadFormat(f"unknown verify settings {unknown}; know {sorted(CONFIG_KEYS)}")
     plan = []
-    for item in config.get("scenarios", DEFAULT_PLAN):
-        name, params = item
+    for name, params in config.get("scenarios", DEFAULT_PLAN):
         if name not in SCENARIOS:
             raise BadFormat(f"unknown scenario {name!r}; know {sorted(SCENARIOS)}")
-        params = dict(params)
-        if name == "small-eliminations" and config.get("data_dir"):
-            params.setdefault("data_dir", config["data_dir"])
-        if name == "suzuki-suite":
-            params.setdefault("slow", bool(config.get("slow", False)))
-        plan.append((name, params))
+        if "data_dir" in params:
+            raise BadFormat(f"data_dir is a run setting, not a {name} param; use the data_dir key")
+        args, ndefaults = _SIGNATURES[name]
+        takes = [a for a in args if a != "data_dir"]
+        bad = [f"unknown {k}" for k in sorted(set(params) - set(takes))]
+        bad += [f"missing {k}" for k in args[: len(args) - ndefaults] if k not in params]
+        if bad:
+            flags = " ".join(f"--{a}" for a in takes) or "no parameters"
+            raise BadFormat(f"scenario {name} takes {flags} ({', '.join(bad)})")
+        if "slow" in args:
+            params = {"slow": bool(config.get("slow", False)), **params}
+        settings = {"data_dir": config.get("data_dir") or None} if "data_dir" in args else {}
+        plan.append((name, params, settings))
 
     cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
     results = []
-    for name, params in plan:
+    for name, params, settings in plan:
         if cache_dir is not None:
-            key = cache_key(name, params, source_digest(params.get("data_dir")))
+            key = cache_key(name, params, source_digest(settings.get("data_dir")))
             path = cache_dir / f"{key}.json"
             if path.exists():
                 results.append(
                     {"report": json.loads(path.read_text()), "elapsed_ms": 0, "cached": True}
                 )
                 continue
-        report, elapsed_ms = _run_one(name, params)
+        report, elapsed_ms = _run_one(name, params, settings)
         results.append({"report": report, "elapsed_ms": elapsed_ms, "cached": False})
         if cache_dir is not None and report["verdict"] == "pass":
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -838,7 +837,7 @@ def run_all(config):
         summary = ["scenario\tparams\tverdict\telapsed_ms\tcached"]
         for res in results:
             report = res["report"]
-            slug = scenario_slug(report["scenario"], public_params(report))
+            slug = scenario_slug(report["scenario"], report["params"])
             (out / f"{slug}.json").write_text(report_json(report))
             summary.append(
                 f"{report['scenario']}\t{param_string(report)}\t{report['verdict']}"

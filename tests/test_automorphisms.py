@@ -20,6 +20,7 @@ from suzuki2.constructions import (
     build_p_epsilon,
 )
 from suzuki2 import automorphisms
+from suzuki2.gf2n import FieldContext
 from suzuki2.groups import FiniteGroup
 from suzuki2.linalg import GF2, Matrix, wedge_pairs
 from suzuki2.permgrp import StabChain, orbits
@@ -142,6 +143,21 @@ def test_known_generators_peps():
     alpha, beta = auts[-2], auts[-1]
     assert alpha.order() == 21
     assert beta.order() == 9
+
+
+def test_peps_maps_hold_for_every_generator_eps():
+    # _peps_maps proves alpha and beta for every generator eps; a seeded
+    # sample of the 72 (poly, eps) groups, since all of them take seconds
+    pairs = [
+        (poly, eps)
+        for poly in (0x5B, 0x43)
+        for eps in range(64)
+        if FieldContext(6, poly).is_generator(eps)
+    ]
+    assert len(pairs) == 72
+    for poly, eps in random.Random(5).sample(pairs, 6):
+        alpha, beta = automorphisms._peps_maps(build_p_epsilon(poly, eps))
+        assert (alpha.order(), beta.order()) == (21, 9), (poly, eps)
 
 
 def test_known_generators_unsupported_family():
@@ -573,11 +589,8 @@ def test_lemma31_fails_when_the_center_points_are_wrong(monkeypatch):
     assert rep["all_passed"] is False
 
 
-def test_lemma31_does_not_depend_on_the_id_order():
-    # the shipped tables number their center 0 .. |Z| - 1 in coordinate
-    # order; reversing the other ids breaks that, and nothing may change
-    g = build_a2(3, 1)
-    auts = known_aut_generators(g)
+def _reversed_ids(g):
+    """g with its non-identity ids reversed, and the id map pi from g."""
     pi = [0] + list(range(g.n - 1, 0, -1))
     mul = [[0] * g.n for _ in range(g.n)]
     labels = [None] * g.n
@@ -585,7 +598,15 @@ def test_lemma31_does_not_depend_on_the_id_order():
         labels[pi[x]] = g.labels[x]
         for y in range(g.n):
             mul[pi[x]][pi[y]] = pi[g.mul[x][y]]
-    h = FiniteGroup(mul, [pi[x] for x in g.gens], labels, g.meta)
+    return FiniteGroup(mul, [pi[x] for x in g.gens], labels, g.meta), pi
+
+
+def test_lemma31_does_not_depend_on_the_id_order():
+    # the shipped tables number their center 0 .. |Z| - 1 in coordinate
+    # order; reversing the other ids breaks that, and nothing may change
+    g = build_a2(3, 1)
+    auts = known_aut_generators(g)
+    h, pi = _reversed_ids(g)
     moved = []
     for a in auts:
         perm = [0] * g.n
@@ -593,3 +614,17 @@ def test_lemma31_does_not_depend_on_the_id_order():
             perm[pi[x]] = pi[a.perm[x]]
         moved.append(Automorphism(h, perm, a.source))
     assert verify_lemma31(h, moved) == verify_lemma31(g, auts)
+
+
+@pytest.mark.parametrize("spec", ["q:16", "a2:3:1"])
+def test_maps_into_another_group_read_its_ids(spec):
+    # the target numbers its elements in another order than the source,
+    # so label lookups and candidate images must come from the target
+    g = build_family(spec)
+    h, pi = _reversed_ids(g)
+    assert isomorphism_from_labels(g, h, lambda lab: lab) == tuple(pi)
+    # find_isomorphism returns the isomorphism with the smallest
+    # generator images; every isomorphism is pi after an automorphism
+    isos = [tuple(pi[y] for y in a.perm) for a in brute_force_aut(g)]
+    want = min(isos, key=lambda m: [m[x] for x in g.gens])
+    assert find_isomorphism(g, h) == want

@@ -242,8 +242,8 @@ def test_verify_out_byte_identical(capsys, tmp_path):
 
 
 def test_verify_lines_leave_out_the_data_dir(capsys, tmp_path):
-    # the scenario-error report keeps data_dir in its params; neither the
-    # CLI line nor summary.tsv nor the file name shows it
+    # data_dir is a run setting, not a param: neither the report, the CLI
+    # line, summary.tsv nor the file name shows it
     out = tmp_path / "out"
     code, text, _ = run(
         capsys,
@@ -255,10 +255,46 @@ def test_verify_lines_leave_out_the_data_dir(capsys, tmp_path):
         "summary: 0 pass, 1 fail, 0 unknown",
     ]
     report = json.loads((out / "small-eliminations-entry-m11.json").read_text())
-    assert report["params"] == {"entry": "m11", "data_dir": str(tmp_path)}
+    assert report["params"] == {"entry": "m11"}
     tsv = (out / "summary.tsv").read_text().splitlines()
     assert tsv[1].startswith("small-eliminations\tentry=m11\tfail\t")
     assert tsv[1].endswith("\t0")
+
+
+def test_verify_rejects_flags_the_scenario_does_not_take(capsys):
+    for argv in (
+        ["sl2-omega", "--n", "7"],
+        ["sl2-omega", "--n", "7", "--entry", "zz"],
+        ["theorem-dual", "--n", "3", "--f", "2"],
+    ):
+        code, out, err = run(capsys, ["verify", *argv])
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
+        assert "--" in err and out == "", argv
+
+
+def test_config_rejects_missing_and_unknown_params(capsys, tmp_path):
+    for line, word in (
+        ("scenario = theorem-dual", "missing n"),
+        ("scenario = sl2-omega bogus=1", "unknown bogus"),
+        ("scenario = theorem-dual n=3\nscenario = sp-lambda", "missing f"),
+    ):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+        assert code == 2, line
+        assert err.startswith("error:") and word in err, line
+        # checked before anything runs
+        assert out == "", line
+
+
+def test_config_rejects_data_dir_on_a_scenario_line(capsys, tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("scenario = small-eliminations entry=a6 data_dir=/x\n")
+    code, _, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "data_dir key" in err
 
 
 def test_verify_corrupted_data_file_fails(capsys, tmp_path):
