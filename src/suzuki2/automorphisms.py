@@ -12,7 +12,9 @@ ever trusts a formula. The known generator families are:
   - the entrywise Frobenius phi (a2 and b2 families);
   - for the order-512 family, two odd semilinear candidates
     alpha: (a, x) -> (eps^3 a, eps^9 x) and beta: (a, x) -> (eps a^4, x^4),
-    with a structured scan over (mu, nu, j) as fallback.
+    proved to be automorphisms for every generator eps (see _peps_maps);
+    scan_peps_semilinear, a scan over the maps (a, x) -> (mu a^(2^j),
+    nu x^(2^j)), stays as a library function and is not a fallback.
 
 The order of the group the maps generate comes from the exact sequence
 1 -> Hom(V, Z) -> Aut(G) -> GL(V) when the group is special and the

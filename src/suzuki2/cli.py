@@ -9,13 +9,15 @@ Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
 keys: scenario, data_dir, results_dir, cache_dir, slow. A scenario-line
 param or `verify --n/--f/--entry` flag that the scenario does not take is
-an error (exit 2), as is a missing one; data_dir is a run setting only,
-never a scenario-line param. The search budget belongs to `catalog
-discover --budget` alone, so a `budget` key is a configuration error
-rather than a silently ignored setting; so are `seed` and `jobs`, since
-reports are deterministic and scenarios run one after another. The
-SUZUKI2_DATA environment variable overrides the data directory for
-catalog entries exactly as the data_dir key does.
+an error (exit 2), as is a missing one, a true/false value for a param
+whose default is not true/false, and any of those flags with `verify
+all`; data_dir is a run setting only, never a scenario-line param. The
+search budget belongs to `catalog discover --budget` alone, so a
+`budget` key is a configuration error rather than a silently ignored
+setting; so are `seed` and `jobs`, since reports are deterministic and
+scenarios run one after another. The SUZUKI2_DATA environment variable
+overrides the data directory for catalog entries exactly as the
+data_dir key does.
 """
 
 import argparse
@@ -30,7 +32,7 @@ from .automorphisms import (
     known_aut_generators,
 )
 from .constructions import build_family
-from .errors import NotFound, ToolkitError, Unsupported
+from .errors import BadFormat, NotFound, ToolkitError, Unsupported
 from .gf2n import DEFAULT_POLYS, FieldContext, poly_to_hex
 from .permgrp import DEFAULT_BUDGET
 from .repmod import (
@@ -260,9 +262,12 @@ def _cmd_verify(args):
     if args.no_cache:
         cfg.pop("cache_dir", None)
 
+    params = {k: getattr(args, k) for k in ("n", "f", "entry") if getattr(args, k) is not None}
     if args.target != "all":
-        params = {k: getattr(args, k) for k in ("n", "f", "entry") if getattr(args, k) is not None}
         cfg["scenarios"] = [(args.target, params)]
+    elif params:
+        flags = " ".join(f"--{k}" for k in params)
+        raise BadFormat(f"{flags}: these flags select a single scenario's params, not verify all's")
 
     results = verify.run_all(cfg)
     for res in results:

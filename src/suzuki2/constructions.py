@@ -16,9 +16,10 @@ Homocyclic and generalized quaternion groups cover the remaining cases
 of the classification the verification scenarios exercise.
 
 The a2, b2 and P(eps) rules share one shape, (a, b)(c, d) =
-(a+c, b+d+f(a, c)), and each builder certifies that its cocycle f is
-biadditive before the table is composed from the generator rows, which
-makes the rule associative (see _cocycle_rule and groups.closure).
+(a+c, b+d+f(a, c)), and all three builders go through _cocycle_group:
+it certifies that the cocycle f is biadditive, which makes the rule
+associative (see _cocycle_rule), closes the generators with
+groups.closure and checks the order.
 
 Each builder tags the group's meta dict with the family name, the field
 context, and GF(2)-bases of V = N/Z (the a-part) and of Z (the b-part),
@@ -105,6 +106,27 @@ def _check_biadditive(f, dim):
                 raise NotAGroup(f"cocycle is not biadditive at ({a}, {c})")
 
 
+def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
+    """Closure of the seeds (e, second(e)), e = 1 << i, i < dim, under the
+    cocycle rule of f, tagged with meta and the v_basis/z_basis bases.
+
+    f is certified biadditive before anything else runs (second included),
+    so the rule meets the precondition of groups.closure; a closure whose
+    order is not the given one raises NotAGroup.
+    """
+    _check_biadditive(f, dim)
+    basis = [1 << i for i in range(dim)]
+    g = closure(
+        [(e, second(e)) for e in basis],
+        _cocycle_rule(f),
+        (0, 0),
+        meta={**meta, "v_basis": basis, "z_basis": z_basis},
+    )
+    if g.order != order:
+        raise NotAGroup(f"closure produced order {g.order}, not {order}")
+    return g
+
+
 def build_a2(n, k):
     """Exponent-4 group of order 2^(2n) twisted by theta = x -> x^(2^k)."""
     order_theta = theta_order(n, k)
@@ -115,28 +137,10 @@ def build_a2(n, k):
     ctx = FieldContext(n)
     mul = ctx.mul
     frob = [ctx.frobenius(x, k) for x in range(ctx.size)]
-
-    def f(a, c):
-        return mul(a, frob[c])
-
-    _check_biadditive(f, n)
-    seeds = [(1 << i, 0) for i in range(n)]
-    g = closure(
-        seeds,
-        _cocycle_rule(f),
-        (0, 0),
-        meta={
-            "family": "a2",
-            "n": n,
-            "k": k,
-            "ctx": ctx,
-            "v_basis": [1 << i for i in range(n)],
-            "z_basis": [1 << i for i in range(n)],
-        },
+    return _cocycle_group(
+        lambda a, c: mul(a, frob[c]), n, [1 << i for i in range(n)], 1 << (2 * n),
+        {"family": "a2", "n": n, "k": k, "ctx": ctx},
     )
-    if g.order != 1 << (2 * n):
-        raise NotAGroup(f"closure produced order {g.order}, not {1 << (2 * n)}")
-    return g
 
 
 def _b2_solutions(ctx, n, a):
@@ -167,27 +171,12 @@ def build_b2(n):
     ctx = FieldContext(2 * n)
     mul = ctx.mul
     frob = [ctx.frobenius(x, n) for x in range(ctx.size)]
-
-    def f(a, c):
-        return mul(a, frob[c])
-
-    _check_biadditive(f, 2 * n)
-    seeds = [(1 << i, _b2_solutions(ctx, n, 1 << i)[0]) for i in range(2 * n)]
-    subfield = ctx.subfield_elements(n)
-    g = closure(
-        seeds,
-        _cocycle_rule(f),
-        (0, 0),
-        meta={
-            "family": "b2",
-            "n": n,
-            "ctx": ctx,
-            "v_basis": [1 << i for i in range(2 * n)],
-            "z_basis": subfield_basis(ctx, subfield),
-        },
+    g = _cocycle_group(
+        lambda a, c: mul(a, frob[c]), 2 * n,
+        subfield_basis(ctx, ctx.subfield_elements(n)), 1 << (3 * n),
+        {"family": "b2", "n": n, "ctx": ctx},
+        second=lambda a: _b2_solutions(ctx, n, a)[0],
     )
-    if g.order != 1 << (3 * n):
-        raise NotAGroup(f"closure produced order {g.order}, not {1 << (3 * n)}")
     for a, b in g.labels:
         if b ^ frob[b] ^ mul(a, frob[a]):
             raise NotAGroup(f"element ({a}, {b}) violates the unitary constraint")
@@ -222,28 +211,10 @@ def build_p_epsilon(poly=PEPS_POLY, eps=None):
             f"{hex(eps)} mod {hex(poly)} does not generate the multiplicative group"
         )
     cocycle = _trace_cocycle(ctx, eps)
-
-    def f(a, b):
-        return cocycle[a][b]
-
-    _check_biadditive(f, 6)
-    seeds = [(1 << i, 0) for i in range(6)]
-    g = closure(
-        seeds,
-        _cocycle_rule(f),
-        (0, 0),
-        meta={
-            "family": "peps",
-            "poly": poly,
-            "ctx": ctx,
-            "eps": eps,
-            "v_basis": [1 << i for i in range(6)],
-            "z_basis": [1, ctx.pow(eps, 9), ctx.pow(eps, 18)],
-        },
+    return _cocycle_group(
+        lambda a, b: cocycle[a][b], 6, [1, ctx.pow(eps, 9), ctx.pow(eps, 18)], 512,
+        {"family": "peps", "poly": poly, "ctx": ctx, "eps": eps},
     )
-    if g.order != 512:
-        raise NotAGroup(f"closure produced order {g.order}, not 512")
-    return g
 
 
 def build_homocyclic(m, exponent):
@@ -364,62 +335,66 @@ PRESENTATION_COMMUTATORS = {
 }
 
 
-def check_p_epsilon_presentation(poly=PEPS_POLY, group=None):
-    """Evaluate the explicit relation list for the order-512 group.
+def _z_value(zb, js):
+    """Second coordinate of z_j1 z_j2 ..., where z_j = (0, zb[j-1])."""
+    acc = 0
+    for j in js:
+        acc ^= zb[j - 1]
+    return acc
+
+
+def _x_and_z_ids(group):
+    """Ids of x_i = (eps^(i-1), 0), i = 1..6, and of z_j = (0, zb[j-1])."""
+    ctx, eps = group.meta["ctx"], group.meta["eps"]
+    index = {lab: i for i, lab in enumerate(group.labels)}
+    return (
+        [index[(ctx.pow(eps, i), 0)] for i in range(6)],
+        [index[(0, b)] for b in group.meta["z_basis"]],
+    )
+
+
+def check_p_epsilon_presentation(group):
+    """Evaluate the explicit relation list in a built P(eps).
 
     With eps of minimal polynomial x^6+x^4+x^3+x+1, x_i = (eps^(i-1), 0)
-    and z_j running over the GF(8) basis (1, eps^9, eps^18), every listed
-    relation is evaluated in the constructed group. Returns per-relation
-    verdicts; a mismatch is reported, never corrected. group, when given,
-    is an already built build_p_epsilon(poly) and is used as is.
+    and z_j running over the GF(8) basis (1, eps^9, eps^18), the 24
+    relations that make the z's central involutions are evaluated in the
+    group, and the 6 squares and 15 commutators of p_epsilon_tables(group)
+    are compared with PRESENTATION_SQUARES and PRESENTATION_COMMUTATORS.
+    Returns per-relation verdicts; a mismatch is reported, never
+    corrected. Any other minimal polynomial raises BadEpsilon.
     """
-    g = build_p_epsilon(poly) if group is None else group
-    ctx = g.meta["ctx"]
-    eps = g.meta["eps"]
+    ctx, eps, zb = (group.meta[k] for k in ("ctx", "eps", "z_basis"))
     if ctx.minimal_polynomial(eps) != 0x5B:
         raise BadEpsilon(
             "relation list is specific to the minimal polynomial 0x5B"
         )
-    index = {lab: i for i, lab in enumerate(g.labels)}
-    x = {i: index[(ctx.pow(eps, i - 1), 0)] for i in range(1, 7)}
-    zb = g.meta["z_basis"]
-    z = {j: index[(0, zb[j - 1])] for j in range(1, 4)}
-
-    def z_word(js):
-        acc = 0
-        for j in js:
-            acc ^= zb[j - 1]
-        return index[(0, acc)]
-
-    def fmt_zs(js):
-        return "".join(f"z{j}" for j in js) if js else "1"
-
-    mul = g.mul
+    x, z = _x_and_z_ids(group)
+    tables = p_epsilon_tables(group)
+    labels = group.labels
     relations = []
 
     def record(name, got, want):
         relations.append(
-            {
-                "relation": name,
-                "holds": got == want,
-                "computed": str(g.labels[got]),
-                "expected": str(g.labels[want]),
-            }
+            {"relation": name, "holds": got == want, "computed": str(got), "expected": str(want)}
         )
 
-    for j in range(1, 4):
-        record(f"z{j}^2 = 1", mul[z[j]][z[j]], 0)
-    for i in range(1, 7):
-        for j in range(1, 4):
-            record(f"[x{i},z{j}] = 1", g.commutator(x[i], z[j]), 0)
-    for k in range(1, 4):
-        for l in range(k + 1, 4):
-            record(f"[z{k},z{l}] = 1", g.commutator(z[k], z[l]), 0)
-    for i in range(1, 7):
-        js = PRESENTATION_SQUARES[i]
-        record(f"x{i}^2 = {fmt_zs(js)}", mul[x[i]][x[i]], z_word(js))
+    def z_word(name, got, js):
+        label = "".join(f"z{j}" for j in js) if js else "1"
+        record(f"{name} = {label}", (0, _z_value(zb, got)), (0, _z_value(zb, js)))
+
+    for j in range(3):
+        record(f"z{j + 1}^2 = 1", labels[group.mul[z[j]][z[j]]], labels[0])
+    for i in range(6):
+        for j in range(3):
+            record(f"[x{i + 1},z{j + 1}] = 1", labels[group.commutator(x[i], z[j])], labels[0])
+    for k in range(3):
+        for l in range(k + 1, 3):
+            record(f"[z{k + 1},z{l + 1}] = 1", labels[group.commutator(z[k], z[l])], labels[0])
+    for i, js in PRESENTATION_SQUARES.items():
+        z_word(f"x{i}^2", tables["squares"][i], js)
     for (i, j), js in sorted(PRESENTATION_COMMUTATORS.items()):
-        record(f"[x{i},x{j}] = {fmt_zs(js)}", g.commutator(x[i], x[j]), z_word(js))
+        z_word(f"[x{i},x{j}]", tables["commutators"][(i, j)], js)
 
     return {
         "relations": relations,
@@ -427,36 +402,30 @@ def check_p_epsilon_presentation(poly=PEPS_POLY, group=None):
     }
 
 
-def p_epsilon_tables(poly=PEPS_POLY, eps=None, group=None):
-    """Presentation coefficients read off the constructed group.
+def p_epsilon_tables(group):
+    """Presentation coefficients read off a built P(eps).
 
     Basis elements x_i = (eps^(i-1), 0) and z_j = (0, (eps^9)^(j-1)) turn
     every square and commutator into a word in the z's; the returned maps
     give the z-index tuples. Two choices of eps with the same minimal
     polynomial produce identical tables, which is the mechanical content
-    of the uniqueness argument. group, when given, is an already built
-    build_p_epsilon(poly, eps) and is used as is.
+    of the uniqueness argument.
     """
-    g = build_p_epsilon(poly, eps) if group is None else group
-    ctx = g.meta["ctx"]
-    eps = g.meta["eps"]
-    zb = g.meta["z_basis"]
-    index = {lab: i for i, lab in enumerate(g.labels)}
-    x = {i: index[(ctx.pow(eps, i - 1), 0)] for i in range(1, 7)}
+    x, _ = _x_and_z_ids(group)
+    zb = group.meta["z_basis"]
     words = {}
     for mask in range(8):
-        acc = 0
-        for j in range(3):
-            if (mask >> j) & 1:
-                acc ^= zb[j]
-        words[acc] = tuple(j + 1 for j in range(3) if (mask >> j) & 1)
-    squares = {}
-    for i in range(1, 7):
-        sq = g.labels[g.mul[x[i]][x[i]]]
-        squares[i] = words[sq[1]]
-    commutators = {}
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            com = g.labels[g.commutator(x[i], x[j])]
-            commutators[(i, j)] = words[com[1]]
-    return {"squares": squares, "commutators": commutators}
+        js = tuple(j + 1 for j in range(3) if mask >> j & 1)
+        words[_z_value(zb, js)] = js
+
+    def word(y):
+        return words[group.labels[y][1]]
+
+    return {
+        "squares": {i + 1: word(group.mul[x[i]][x[i]]) for i in range(6)},
+        "commutators": {
+            (i + 1, j + 1): word(group.commutator(x[i], x[j]))
+            for i in range(6)
+            for j in range(i + 1, 6)
+        },
+    }

@@ -617,7 +617,7 @@ def run_suzuki_suite(slow=False):
         )
     )
 
-    pres = check_p_epsilon_presentation(group=pe)
+    pres = check_p_epsilon_presentation(pe)
     claims.append(
         _claim(
             "peps-presentation",
@@ -656,7 +656,7 @@ def run_suzuki_suite(slow=False):
             "presentation tables agree for eps and eps^2, which share a "
             "minimal polynomial",
             True,
-            p_epsilon_tables(group=pe) == p_epsilon_tables(eps=ctx.frobenius(eps)),
+            p_epsilon_tables(pe) == p_epsilon_tables(build_p_epsilon(eps=ctx.frobenius(eps))),
         )
     )
 
@@ -720,12 +720,16 @@ DEFAULT_PLAN = (
 )
 
 
-# parameter names and number of defaults per scenario, read at import,
-# before anything (such as bench/tracer.py) wraps the functions
-_SIGNATURES = {
-    name: (fn.__code__.co_varnames[: fn.__code__.co_argcount], len(fn.__defaults__ or ()))
-    for name, fn in SCENARIOS.items()
-}
+def _signature(fn):
+    """Parameter names of fn and the defaults of those that have one."""
+    args = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    defaults = fn.__defaults__ or ()
+    return args, dict(zip(args[len(args) - len(defaults) :], defaults))
+
+
+# parameter names and defaults per scenario, read at import, before
+# anything (such as bench/tracer.py) wraps the functions
+_SIGNATURES = {name: _signature(fn) for name, fn in SCENARIOS.items()}
 
 
 def param_string(report):
@@ -784,7 +788,8 @@ def run_all(config):
     default DEFAULT_PLAN), data_dir, results_dir, cache_dir, slow; any
     other key raises BadFormat rather than being ignored, and so does,
     before anything runs, a param the scenario's function does not take
-    or a required one left out. The run settings go to a scenario whose
+    or a required one left out, or a true/false given to a param whose
+    default is not one. The run settings go to a scenario whose
     function takes them: data_dir beside the params, slow into them
     unless given. Returns a list of {report, elapsed_ms, cached} in plan
     order. Only pass verdicts are cached, so a failure caused by missing
@@ -801,10 +806,15 @@ def run_all(config):
             raise BadFormat(f"unknown scenario {name!r}; know {sorted(SCENARIOS)}")
         if "data_dir" in params:
             raise BadFormat(f"data_dir is a run setting, not a {name} param; use the data_dir key")
-        args, ndefaults = _SIGNATURES[name]
+        args, defaults = _SIGNATURES[name]
         takes = [a for a in args if a != "data_dir"]
         bad = [f"unknown {k}" for k in sorted(set(params) - set(takes))]
-        bad += [f"missing {k}" for k in args[: len(args) - ndefaults] if k not in params]
+        bad += [f"missing {k}" for k in args if k not in defaults and k not in params]
+        bad += [
+            f"{k} takes no true/false"
+            for k in takes
+            if isinstance(params.get(k), bool) and not isinstance(defaults.get(k), bool)
+        ]
         if bad:
             flags = " ".join(f"--{a}" for a in takes) or "no parameters"
             raise BadFormat(f"scenario {name} takes {flags} ({', '.join(bad)})")

@@ -88,7 +88,7 @@ def test_criterion_03_p_epsilon():
     g = build_family("peps")
     center = g.center()
     involutions = [x for x in range(g.n) if g.element_order(x) == 2]
-    pres = check_p_epsilon_presentation()
+    pres = check_p_epsilon_presentation(g)
     auts = known_aut_generators(g)
     ok = (
         g.n == 512

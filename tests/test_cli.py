@@ -273,6 +273,29 @@ def test_verify_rejects_flags_the_scenario_does_not_take(capsys):
         assert "--" in err and out == "", argv
 
 
+def test_verify_all_rejects_single_scenario_flags(capsys):
+    for argv in (["--n", "3", "--entry", "zz"], ["--f", "2"], ["--entry", "a6"]):
+        code, out, err = run(capsys, ["verify", "all", *argv])
+        assert code == 2, argv
+        assert err.startswith("error:") and argv[0] in err, argv
+        assert "single scenario" in err and out == "", argv
+
+
+def test_config_rejects_true_false_for_params_that_are_not_switches(capsys, tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    for line, word in (
+        ("scenario = sp-lambda f=true", "f takes no true/false"),
+        ("scenario = theorem-dual n=false", "n takes no true/false"),
+        ("scenario = small-eliminations entry=true", "entry takes no true/false"),
+    ):
+        # slow defaults to false, so slow=true on the line before is valid
+        cfg.write_text("scenario = suzuki-suite slow=true\n" + line + "\n")
+        code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+        assert code == 2, line
+        assert err.startswith("error:") and word in err, line
+        assert "slow" not in err and out == "", line
+
+
 def test_config_rejects_missing_and_unknown_params(capsys, tmp_path):
     for line, word in (
         ("scenario = theorem-dual", "missing n"),

@@ -18,6 +18,7 @@ from suzuki2 import constructions
 from suzuki2.constructions import (
     PRESENTATION_COMMUTATORS,
     _check_biadditive,
+    _cocycle_group,
     _trace_cocycle,
     PRESENTATION_SQUARES,
     build_a2,
@@ -237,7 +238,7 @@ def test_build_family_specifiers():
 
 
 def test_presentation_all_relations_hold():
-    rep = check_p_epsilon_presentation()
+    rep = check_p_epsilon_presentation(build_p_epsilon())
     assert rep["all_hold"]
     # 3 z-squares + 18 x/z commutators + 3 z/z commutators + 6 squares + 15 commutators
     assert len(rep["relations"]) == 45
@@ -251,11 +252,45 @@ def test_presentation_requires_specific_polynomial():
     # 0x43 is primitive, so the group builds, but the relation list
     # is tied to 0x5B and must be refused
     with pytest.raises(BadEpsilon):
-        check_p_epsilon_presentation(0x43)
+        check_p_epsilon_presentation(build_p_epsilon(0x43))
+
+
+@pytest.mark.parametrize(
+    "table, key, word, name",
+    [
+        (PRESENTATION_SQUARES, 1, (3,), "x1^2 = z3"),
+        (PRESENTATION_COMMUTATORS, (2, 6), (1,), "[x2,x6] = z1"),
+    ],
+)
+def test_presentation_reports_a_changed_relation(monkeypatch, table, key, word, name):
+    monkeypatch.setitem(table, key, word)
+    pe = build_p_epsilon()
+    rep = check_p_epsilon_presentation(pe)
+    assert rep["all_hold"] is False
+    (bad,) = [r for r in rep["relations"] if not r["holds"]]
+    assert bad["relation"] == name
+    # computed comes from the group, expected from the changed list
+    zb = pe.meta["z_basis"]
+    assert bad["expected"] == str((0, zb[word[0] - 1]))
+    assert bad["computed"] != bad["expected"]
+
+
+def test_cocycle_group_checks_the_closure_order():
+    # the zero cocycle closes two seeds to GF(2)^2, order 4, not 16
+    with pytest.raises(NotAGroup, match="order 4, not 16"):
+        _cocycle_group(lambda a, c: 0, 2, [1, 2], 16, {})
+
+
+def test_cocycle_group_certifies_before_seeding():
+    def second(a):
+        raise AssertionError("seeded before the cocycle was certified")
+
+    with pytest.raises(NotAGroup, match="biadditive"):
+        _cocycle_group(lambda a, c: a & 1, 2, [1], 8, {}, second=second)
 
 
 def test_tables_match_presentation_constants():
-    tab = p_epsilon_tables()
+    tab = p_epsilon_tables(build_p_epsilon())
     assert tab["squares"] == PRESENTATION_SQUARES
     assert tab["commutators"] == PRESENTATION_COMMUTATORS
 
@@ -264,14 +299,14 @@ def test_tables_invariant_under_conjugate_eps():
     from suzuki2.gf2n import FieldContext
 
     ctx = FieldContext(6, PEPS_POLY)
-    base = p_epsilon_tables()
+    base = p_epsilon_tables(build_p_epsilon())
     # conjugates eps^(2^k) share the minimal polynomial and the tables
     for k in (1, 2, 3):
-        assert p_epsilon_tables(eps=ctx.pow(ctx.t, 2**k)) == base
+        assert p_epsilon_tables(build_p_epsilon(eps=ctx.pow(ctx.t, 2**k))) == base
     # a generator with a different minimal polynomial gives different tables
     other = ctx.pow(ctx.t, 5)
     assert ctx.minimal_polynomial(other) != 0x5B
-    assert p_epsilon_tables(eps=other) != base
+    assert p_epsilon_tables(build_p_epsilon(eps=other)) != base
 
 
 def test_build_p_epsilon_rejects_non_generator_eps():

@@ -28,6 +28,7 @@ from suzuki2.permgrp import _orbit
 from suzuki2.repmod import (
     UNKNOWN,
     GModule,
+    SubmoduleLattice,
     decompose_lemma22,
     direct_sum,
     dual,
@@ -345,6 +346,23 @@ def test_submodule_module_validation():
         submodule_module(lam, Subspace(GF4, [], 6))
     with pytest.raises(BadShape):
         submodule_module(lam, Subspace(GF2, [], 5))
+
+
+def test_lattice_rejects_a_non_invariant_member():
+    lam = exterior_square(restrict_scalars(sl2_4()))
+    lat = submodule_lattice(lam)
+    assert SubmoduleLattice(lam, lat.members).members == lat.members
+    w = Subspace(GF2, [(1, 0, 0, 0, 0, 0)], 6)
+    with pytest.raises(NotInvariant, match="closed under the action"):
+        SubmoduleLattice(lam, lat.members + (w,))
+
+
+def test_lattice_must_run_from_zero_to_the_full_space():
+    lam = exterior_square(restrict_scalars(sl2_4()))
+    members = submodule_lattice(lam).members
+    for bad in (members[1:], members[:-1], ()):
+        with pytest.raises(NotInvariant, match="from 0 to the full space"):
+            SubmoduleLattice(lam, bad)
 
 
 def test_quotient_module_edges():
