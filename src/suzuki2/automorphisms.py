@@ -12,9 +12,7 @@ ever trusts a formula. The known generator families are:
   - the entrywise Frobenius phi (a2 and b2 families);
   - for the order-512 family, two odd semilinear candidates
     alpha: (a, x) -> (eps^3 a, eps^9 x) and beta: (a, x) -> (eps a^4, x^4),
-    proved to be automorphisms for every generator eps (see _peps_maps);
-    scan_peps_semilinear, a scan over the maps (a, x) -> (mu a^(2^j),
-    nu x^(2^j)), stays as a library function and is not a fallback.
+    proved to be automorphisms for every generator eps (see _peps_maps).
 
 The order of the group the maps generate comes from the exact sequence
 1 -> Hom(V, Z) -> Aut(G) -> GL(V) when the group is special and the
@@ -23,11 +21,13 @@ on all elements otherwise. A brute-force search doubles as an
 independent oracle for small groups, and the fusion/orbit machinery
 feeds the verification scenarios.
 
-The actions a map induces on V = G/Z and on Z are point permutations,
-read off the table in one pass per map; orbit counts and the image
-order in GL(V) use them directly. Matrices, built from the images of the
-unit points, appear only where a linear statement is checked (the
-commutator equivariance and ranks), with Z in table-derived coordinates.
+special_coords reads the coordinates of V = G/Z and of Z off the table
+of a tagged special group, once; the exact-sequence count and
+verify_lemma31 both take them from there. The actions a map induces on
+V and on Z are point permutations, read in one pass per map; orbit
+counts and the image order in GL(V) use them directly. Matrices, built
+from the images of the unit points, appear only where a linear statement
+is checked (the commutator equivariance and ranks).
 """
 
 from operator import itemgetter
@@ -188,24 +188,6 @@ def _first_extension(mul_src, mul_dst, gen_ids, choices, images=(), state=None):
     return None
 
 
-def aut_from_images(group, images):
-    """Extend generator images along the closure's BFS words."""
-    if len(images) != len(group.gens):
-        raise NotAHomomorphism(
-            f"{len(group.gens)} generators, {len(images)} images"
-        )
-    for g, m in zip(group.gens, images):
-        if group.element_order(g) != group.element_order(m):
-            raise NotAHomomorphism(
-                f"image order {group.element_order(m)} differs from "
-                f"generator order {group.element_order(g)}"
-            )
-    maps = _extend_images(group.mul, group.mul, group.gens, images)[0]
-    if -1 in maps:
-        raise NotAHomomorphism("generators do not reach the whole group")
-    return Automorphism(group, maps)
-
-
 def _label_perm(group, fn, dst=None):
     """Id map induced by a label-level map from group into dst (default group)."""
     index = {lab: i for i, lab in enumerate((dst or group).labels)}
@@ -256,33 +238,6 @@ def _xi_phi_maps(group):
         "frobenius",
     )
     return [xi, phi]
-
-
-def scan_peps_semilinear(group):
-    """All certified maps (a, x) -> (mu*a^(2^j), nu*x^(2^j)).
-
-    The cocycle forces nu = mu^3 * eps^(1 - 2^j); candidates where that
-    value lands outside the GF(8) subfield cannot restrict to the second
-    coordinate and are skipped before certification.
-    """
-    ctx = group.meta["ctx"]
-    eps = group.meta["eps"]
-    out = []
-    for j in range(6):
-        shift = ctx.pow(eps, (1 - (1 << j)) % (ctx.size - 1))
-        for mu in range(1, ctx.size):
-            nu = ctx.mul(ctx.pow(mu, 3), shift)
-            if ctx.frobenius(nu, 3) != nu:
-                continue
-            perm = _label_perm(
-                group,
-                lambda lab, mu=mu, nu=nu, j=j: (
-                    ctx.mul(mu, ctx.frobenius(lab[0], j)),
-                    ctx.mul(nu, ctx.frobenius(lab[1], j)),
-                ),
-            )
-            out.append(Automorphism(group, perm))
-    return out
 
 
 def _peps_maps(group):
@@ -343,6 +298,74 @@ def fusion_classes(group, auts):
     return FusionPartition(parts, group.n, orders)
 
 
+class SpecialCoords:
+    """The V and Z coordinates of a tagged special 2-group; see special_coords.
+
+    dim_v and dim_z are the GF(2) dimensions of V = G/Z and of Z, coord
+    maps each member of Z to its coordinate, members lists Z in coordinate
+    order, and lift[v] is an element id in the central coset of V point v.
+    """
+
+    __slots__ = ("group", "dim_v", "dim_z", "coord", "members", "lift")
+
+    def __init__(self, group, dim_v, coord):
+        self.group = group
+        self.dim_v = dim_v
+        self.dim_z = len(coord).bit_length() - 1
+        self.coord = coord
+        self.members = sorted(coord, key=coord.__getitem__)
+        by_a = {a: i for i, (a, _) in enumerate(group.labels)}
+        self.lift = [by_a[v] for v in range(1 << dim_v)]
+
+    def points(self, perms):
+        """The V points and the Z points of each permutation of element ids.
+
+        In the tagged families V point v is the a-part of a label, bit j
+        of v its coordinate j, and a central coset is the set of labels
+        with one a-part. So an automorphism sends v to the a-part of the
+        image of lift[v], and Z point c to the coordinate of the image of
+        members[c]. Both are the point permutations of the induced
+        GF(2)-linear maps.
+        """
+        labels, coord = self.group.labels, self.coord
+        v_points = [tuple(labels[p[x]][0] for x in self.lift) for p in perms]
+        z_points = [tuple(coord[p[z]] for z in self.members) for p in perms]
+        return v_points, z_points
+
+    def commutator_matrix(self):
+        """GF(2) matrix of the commutator map from the wedge basis of V into Z."""
+        comm, lift, coord = self.group.commutator, self.lift, self.coord
+        rows = []
+        for i, j in wedge_pairs(self.dim_v):
+            c = coord[comm(lift[1 << i], lift[1 << j])]
+            rows.append([(c >> k) & 1 for k in range(self.dim_z)])
+        return Matrix(GF2, rows)
+
+
+def special_coords(group):
+    """SpecialCoords of a special group whose v_basis tag fits, else None.
+
+    The group must be special, so Z = Z(G) = G' = Phi(G) is elementary
+    abelian, and 2^dim V * |Z| = |G| must hold for dim V the length of
+    the v_basis tag; dim Z is counted from the table. Z gets its
+    coordinates by doubling a span: the members reached so far form a
+    subgroup of order 2^k numbered 0 .. 2^k - 1, and the first member z
+    outside it adds w*z with coordinate coord[w] | 2^k for every reached
+    w. So z becomes basis vector k, and coord is GF(2)-linear.
+    """
+    if "v_basis" not in group.meta or not group.is_special_2group():
+        return None
+    mul = group.mul
+    coord = {0: 0}
+    for z in group.center().members:
+        if z not in coord:
+            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
+    dim_v = len(group.meta["v_basis"])
+    if (1 << dim_v) * len(coord) != group.n:
+        return None
+    return SpecialCoords(group, dim_v, coord)
+
+
 def aut_group_order(group, auts):
     """Order of the permutation group the maps generate.
 
@@ -360,13 +383,13 @@ def aut_group_order(group, auts):
 def _exact_sequence_order(group, auts):
     """|<auts>| = |Z|^dim V * |image on V| for a special group, else None.
 
-    Applies to a special 2-group whose v_basis tag fits the table,
-    2^dim V * |Z| = |G|. Then Z = Z(G) = G' = Phi(G) is
-    characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel K = Hom(V, Z):
-    an automorphism acting trivially on V is x -> x d(x) with d: G -> Z a
-    homomorphism, which kills Phi(G) = Z because Z is elementary abelian;
-    conversely every d in Hom(V, Z) gives such a bijection. So
-    |<auts>| = |<auts> & K| * |image of <auts> in GL(V)|.
+    Applies when special_coords(group) does: a special 2-group whose
+    v_basis tag fits the table, 2^dim V * |Z| = |G|. Then Z = Z(G) = G' =
+    Phi(G) is characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel
+    K = Hom(V, Z): an automorphism acting trivially on V is x -> x d(x)
+    with d: G -> Z a homomorphism, which kills Phi(G) = Z because Z is
+    elementary abelian; conversely every d in Hom(V, Z) gives such a
+    bijection. So |<auts>| = |<auts> & K| * |image of <auts> in GL(V)|.
 
     A map whose displacement g^-1 phi(g) lies in Z for every generator g
     of G fixes a spanning set of V, so it lies in K. For phi_d, phi_e in
@@ -376,29 +399,23 @@ def _exact_sequence_order(group, auts):
     fixed by its values on generators. The maps in K thus generate all of
     K exactly when their vectors have GF(2) rank dim V * dim Z, and then
     |<auts> & K| = |Z|^dim V. Any other case returns None, and the caller
-    runs the full chain. Z gets its coordinates from _center_coords, V its
-    points from _point_actions, as in verify_lemma31, and the image order
-    comes from a chain on the 2^dim V points of V.
+    runs the full chain. The Z coordinates and the V points come from
+    special_coords, as in verify_lemma31, and the image order from a
+    chain on the 2^dim V points of V.
     """
-    if "v_basis" not in group.meta:
+    sc = special_coords(group)
+    if sc is None:
         return None
-    if not group.is_special_2group():
-        return None
-    dim_v = len(group.meta["v_basis"])
-    coord = _center_coords(group)
-    if (1 << dim_v) * len(coord) != group.n:
-        return None
-    mul, inv = group.mul, group.inv
-    dim_z = len(coord).bit_length() - 1
+    mul, inv, coord, dim_z = group.mul, group.inv, sc.coord, sc.dim_z
     rows = []
     for a in auts:
         moves = [mul[inv[g]][a.perm[g]] for g in group.gens]
         if all(d in coord for d in moves):
             rows.append([(coord[d] >> j) & 1 for d in moves for j in range(dim_z)])
-    if Matrix(GF2, rows).rank() != dim_v * dim_z:
+    if Matrix(GF2, rows).rank() != sc.dim_v * dim_z:
         return None
-    v_points = _point_actions(group, [a.perm for a in auts])[0]
-    return len(coord) ** dim_v * StabChain(v_points, 1 << dim_v).order()
+    v_points = sc.points([a.perm for a in auts])[0]
+    return len(coord) ** sc.dim_v * StabChain(v_points, 1 << sc.dim_v).order()
 
 
 def _image_candidates(src, dst):
@@ -472,82 +489,6 @@ def is_at_group(group, auts):
     return {frozenset(c) for c in fp.classes} == {frozenset(v) for v in same_order}
 
 
-def is_fif_group(group, auts):
-    """True when same-order elements fuse up to inversion."""
-    fp = fusion_classes(group, auts)
-    cls_of = {}
-    for ci, c in enumerate(fp.classes):
-        for x in c:
-            cls_of[x] = ci
-    merged = set()
-    for ci, c in enumerate(fp.classes):
-        cj = cls_of[group.inv[c[0]]]
-        merged.add(frozenset(set(c) | set(fp.classes[cj])))
-    return merged == {frozenset(v) for v in _ids_by_order(group).values()}
-
-
-def _center_coords(group):
-    """GF(2) coordinates of the members of an elementary abelian center.
-
-    Read off the table by doubling a span: the members reached so far
-    form a subgroup of order 2^k numbered 0 .. 2^k - 1, and the first
-    member z outside it adds w*z with coordinate coord[w] | 2^k for every
-    reached w. So z becomes basis vector k, and coord is GF(2)-linear.
-    """
-    mul = group.mul
-    coord = {0: 0}
-    for z in group.center().members:
-        if z not in coord:
-            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
-    return coord
-
-
-def _point_actions(group, perms):
-    """The V points and the Z points of each permutation of element ids.
-
-    In the tagged families v_basis is the standard basis of the a-part of
-    a label, and a central coset is the set of labels with one a-part. So
-    an automorphism sends V point a to the a-part of the image of any
-    label with a-part a, and Z point c, the center member with coordinate
-    c in _center_coords, to the coordinate of its image. Both are the
-    point permutations of the induced GF(2)-linear maps.
-    """
-    labels = group.labels
-    coord = _center_coords(group)
-    members = sorted(coord, key=coord.__getitem__)
-    lift = {a: i for i, (a, _) in enumerate(labels)}
-    lift = [lift[a] for a in range(len(lift))]
-    v_points = [tuple(labels[p[i]][0] for i in lift) for p in perms]
-    z_points = [tuple(coord[p[z]] for z in members) for p in perms]
-    return v_points, z_points
-
-
-def induced_action_on_quotient(group, aut):
-    """GF(2) matrix of the map aut induces on V = G/Z, row convention."""
-    return point_matrix(_point_actions(group, [aut.perm])[0][0], len(group.meta["v_basis"]))
-
-
-def induced_action_on_center(group, aut):
-    """GF(2) matrix of the map aut induces on Z in _center_coords, rows."""
-    return point_matrix(_point_actions(group, [aut.perm])[1][0], len(group.meta["z_basis"]))
-
-
-def commutator_matrix(group):
-    """Matrix of the commutator map from wedge coordinates of V into Z.
-
-    Z is in _center_coords, the basis induced_action_on_center uses.
-    """
-    v_basis = group.meta["v_basis"]
-    coord = _center_coords(group)
-    dim_z = len(coord).bit_length() - 1
-    lift = {a: i for i, (a, _) in enumerate(group.labels)}
-    rows = []
-    for i, j in wedge_pairs(len(v_basis)):
-        c = coord[group.commutator(lift[v_basis[i]], lift[v_basis[j]])]
-        rows.append([(c >> k) & 1 for k in range(dim_z)])
-    return Matrix(GF2, rows)
-
-
 def _check(name, computed, expected, **extra):
     """One verify_lemma31 check; it passes when computed equals expected."""
     extra.update(name=name, computed=computed, expected=expected, passed=computed == expected)
@@ -568,33 +509,32 @@ def verify_lemma31(group, auts=None):
     family = group.meta.get("family")
     if family not in _FAMILY_MAPS:
         raise Unsupported(f"no known generator family for {family!r}")
-    if not group.is_special_2group():
-        raise Unsupported("group is not special")
+    sc = special_coords(group)
+    if sc is None:
+        raise Unsupported("group is not special, or its v_basis tag does not fit the table")
 
-    dim_v = len(group.meta["v_basis"])
-    dim_z = len(group.meta["z_basis"])
+    dim_v, dim_z = sc.dim_v, sc.dim_z
     checks = []
 
     if auts is None:
         auts = known_aut_generators(group)
     kernel = [a for a in auts if a.source == "central"]
     k_order = aut_group_order(group, kernel)
-    z_order = group.center().order
     elementary = all(a.order() in (1, 2) for a in kernel) and all(
         compose(a.perm, b.perm) == compose(b.perm, a.perm)
         for i, a in enumerate(kernel)
         for b in kernel[i + 1 :]
     )
-    checks.append(_check("central_kernel_order", k_order, z_order**dim_v))
+    checks.append(_check("central_kernel_order", k_order, len(sc.coord) ** dim_v))
     checks.append(_check("central_kernel_elementary_abelian", elementary, True))
 
     fp = fusion_classes(group, auts)
-    v_points, z_points = _point_actions(group, [a.perm for a in auts])
+    v_points, z_points = sc.points([a.perm for a in auts])
     o_v = len(orbits(v_points, 1 << dim_v))
     o_m = len(orbits(z_points, 1 << dim_z))
     checks.append(_check("fusion_orbit_formula", len(fp.classes), o_v + o_m - 1, o_v=o_v, o_m=o_m))
 
-    cmat = commutator_matrix(group)
+    cmat = sc.commutator_matrix()
     bad = sum(
         1
         for vp, zp in zip(v_points, z_points)

@@ -37,7 +37,7 @@ from .errors import (
     Unsupported,
 )
 from .gf2n import PEPS_POLY, FieldContext
-from .groups import ORDER_CAP, FiniteGroup, closure
+from .groups import ORDER_CAP, closure
 from .linalg import GF2, Matrix
 
 
@@ -187,10 +187,7 @@ def _trace_cocycle(ctx, eps):
     """Table of Tr(a*b^2*eps) over GF(2^6), Tr(u) = u + u^8, indexed [a][b]."""
     mul = ctx.mul
     return [
-        [
-            (lambda u: u ^ ctx.frobenius(u, 3))(mul(mul(a, mul(b, b)), eps))
-            for b in range(64)
-        ]
+        [ctx.trace_to_subfield(mul(mul(a, mul(b, b)), eps), 3) for b in range(64)]
         for a in range(64)
     ]
 
@@ -274,15 +271,6 @@ def build_generalized_quaternion(order):
         (0, 0),
         meta={"family": "quaternion", "order": order},
     )
-
-
-BUILDERS = {
-    "a2": build_a2,
-    "b2": build_b2,
-    "peps": build_p_epsilon,
-    "hc": build_homocyclic,
-    "q": build_generalized_quaternion,
-}
 
 
 def build_family(spec):

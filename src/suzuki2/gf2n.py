@@ -81,17 +81,6 @@ def is_irreducible(mask):
     return True
 
 
-def is_primitive(mask):
-    """True iff mask is irreducible and its root generates GF(2^n)*."""
-    n = poly_degree(mask)
-    if not (mask & 1) or not is_irreducible(mask):
-        return False  # x | mask means 0 is a root, never a generator
-    if n == 1:
-        return True
-    ctx = FieldContext(n, mask)
-    return ctx.multiplicative_order(0b10) == (1 << n) - 1
-
-
 def poly_to_hex(mask):
     return format(mask, "#x").upper().replace("0X", "0x")
 
@@ -203,11 +192,10 @@ class FieldContext:
         """Relative trace onto the fixed field of x -> x^(2^m); needs m | n."""
         if m <= 0 or self.n % m != 0:
             raise BadSubfield(f"GF(2^{m}) is not a subfield of GF(2^{self.n})")
-        acc = 0
-        y = x
-        for _ in range(self.n // m):
-            acc ^= y
+        acc = y = x
+        for _ in range(self.n // m - 1):
             y = self.frobenius(y, m)
+            acc ^= y
         return acc
 
     def multiplicative_order(self, x):

@@ -10,7 +10,6 @@ Light's test over the generating set, which by Light's theorem is
 equivalent to checking all triples.
 """
 
-import json
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -183,11 +182,6 @@ class FiniteGroup:
         mul, inv = self.mul, self.inv
         return mul[mul[inv[x]][inv[y]]][mul[x][y]]
 
-    def conjugate(self, x, g):
-        """g^-1 x g."""
-        mul = self.mul
-        return mul[mul[self.inv[g]][x]][g]
-
     def subgroup_generated(self, seeds):
         """Closure of the seeds; inverses come for free in a finite group."""
         mul = self.mul
@@ -319,9 +313,6 @@ class FiniteGroup:
             "center_order": self.center().order,
             "generators": [_label_json(self.label_of(g)) for g in self.gens],
         }
-
-    def describe_json(self):
-        return json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
 
 
 def _label_json(label):

@@ -341,13 +341,6 @@ def read_matrix(lines, start):
     return Matrix(ctx, rows), idx
 
 
-def matrix_from_text(lines):
-    """Parse one matrix from an iterator of lines; returns (Matrix, rest)."""
-    lines = list(lines)
-    mat, idx = read_matrix(lines, 0)
-    return mat, lines[idx:]
-
-
 def _rref_rows(ctx, rows, width, stop_col=None):
     """In-place reduced row echelon form; returns (rows, pivot columns).
 

@@ -298,11 +298,6 @@ def is_solvable(gens, npoints=None):
     return derived_series(gens, npoints)[-1].order() == 1
 
 
-def perfect_residual(gens, npoints=None):
-    """Chain of the last derived term (the group itself when perfect)."""
-    return derived_series(gens, npoints)[-1]
-
-
 def random_subgroup_search(
     ambient_gens, target_order, predicate, seed, budget=DEFAULT_BUDGET, npoints=None
 ):

@@ -22,30 +22,24 @@ from suzuki2.constructions import (
 from suzuki2 import automorphisms
 from suzuki2.gf2n import FieldContext
 from suzuki2.groups import FiniteGroup
-from suzuki2.linalg import GF2, Matrix, wedge_pairs
+from suzuki2.linalg import GF2, Matrix, point_matrix, wedge_pairs
 from suzuki2.permgrp import StabChain, orbits
 from suzuki2.automorphisms import (
     Automorphism,
     _certificate_witness,
-    _center_coords,
     _exact_sequence_order,
     _extend_images,
+    _label_perm,
     _pairs_witness,
-    _point_actions,
-    aut_from_images,
     aut_group_order,
     brute_force_aut,
     central_maps,
-    commutator_matrix,
     find_isomorphism,
     fusion_classes,
-    induced_action_on_center,
-    induced_action_on_quotient,
     is_at_group,
-    is_fif_group,
     isomorphism_from_labels,
     known_aut_generators,
-    scan_peps_semilinear,
+    special_coords,
     verify_lemma31,
 )
 
@@ -89,25 +83,6 @@ def test_conjugation_certifies_and_composes():
     c = a.compose(b)
     assert c.inverse().compose(c).order() == 1
     assert a.order() in (1, 2, 4, 8)
-
-
-def test_aut_from_images_identity_and_xi():
-    g = build_a2(3, 1)
-    ident = aut_from_images(g, list(g.gens))
-    assert ident.order() == 1
-    xi = known_aut_generators(g)[-2]
-    again = aut_from_images(g, [xi(i) for i in g.gens])
-    assert again.perm == xi.perm
-    assert again.order() == 7
-
-
-def test_aut_from_images_order_obstruction():
-    g = build_a2(3, 1)
-    z = g.center()
-    inv = next(i for i in z.members if g.element_order(i) == 2)
-    images = [inv] + list(g.gens[1:])
-    with pytest.raises(NotAHomomorphism):
-        aut_from_images(g, images)
 
 
 def test_known_generators_a2():
@@ -163,6 +138,33 @@ def test_peps_maps_hold_for_every_generator_eps():
 def test_known_generators_unsupported_family():
     with pytest.raises(Unsupported):
         known_aut_generators(build_homocyclic(2, 4))
+
+
+def scan_peps_semilinear(group):
+    """Oracle for _peps_maps: all certified maps (a, x) -> (mu*a^(2^j), nu*x^(2^j)).
+
+    The cocycle forces nu = mu^3 * eps^(1 - 2^j); candidates where that
+    value lands outside the GF(8) subfield cannot restrict to the second
+    coordinate and are skipped before certification.
+    """
+    ctx = group.meta["ctx"]
+    eps = group.meta["eps"]
+    out = []
+    for j in range(6):
+        shift = ctx.pow(eps, (1 - (1 << j)) % (ctx.size - 1))
+        for mu in range(1, ctx.size):
+            nu = ctx.mul(ctx.pow(mu, 3), shift)
+            if ctx.frobenius(nu, 3) != nu:
+                continue
+            perm = _label_perm(
+                group,
+                lambda lab, mu=mu, nu=nu, j=j: (
+                    ctx.mul(mu, ctx.frobenius(lab[0], j)),
+                    ctx.mul(nu, ctx.frobenius(lab[1], j)),
+                ),
+            )
+            out.append(Automorphism(group, perm))
+    return out
 
 
 def test_peps_semilinear_scan_is_the_odd_part():
@@ -267,7 +269,6 @@ def test_brute_force_small_groups():
     auts16 = brute_force_aut(q16)
     assert len(auts16) == 32
     assert not is_at_group(q16, auts16)
-    assert not is_fif_group(q16, auts16)
 
 
 def test_brute_force_matches_known_generators_for_b2_1():
@@ -287,7 +288,6 @@ def test_at_and_fif_on_quaternion_eight():
     q8 = build_generalized_quaternion(8)
     auts = brute_force_aut(q8)
     assert is_at_group(q8, auts)
-    assert is_fif_group(q8, auts)
 
 
 def test_central_maps_require_family_tags():
@@ -298,25 +298,26 @@ def test_central_maps_require_family_tags():
 def test_induced_actions():
     g = build_a2(3, 1)
     auts = known_aut_generators(g)
-    xi = auts[-2]
-    ident = induced_action_on_quotient(g, auts[0]) ** 0
+    sc = special_coords(g)
+    v_points, z_points = sc.points([a.perm for a in auts])
+    ident = Matrix.identity(GF2, 3)
     # central maps act trivially on both quotient and center
-    for a in auts[:9]:
-        assert induced_action_on_quotient(g, a) == ident
-        assert induced_action_on_center(g, a) == ident
+    for vp, zp in zip(v_points[:9], z_points[:9]):
+        assert point_matrix(vp, sc.dim_v) == ident
+        assert point_matrix(zp, sc.dim_z) == ident
     # xi acts on V as multiplication by the field generator: order 7
-    m = induced_action_on_quotient(g, xi)
+    m = point_matrix(v_points[-2], sc.dim_v)
     assert m != ident
     assert m**7 == ident
 
 
 def test_commutator_matrix_shape_and_rank():
     g = build_a2(3, 1)
-    c = commutator_matrix(g)
+    c = special_coords(g).commutator_matrix()
     assert (c.nrows, c.ncols) == (3, 3)
     assert c.rank() == 3
     b = build_b2(2)
-    cb = commutator_matrix(b)
+    cb = special_coords(b).commutator_matrix()
     assert (cb.nrows, cb.ncols) == (6, 2)
     assert cb.rank() == 2
 
@@ -427,6 +428,37 @@ def test_missing_central_map_declines_and_fails_kernel_check():
     kernel = next(c for c in rep["checks"] if c["name"] == "central_kernel_order")
     assert (kernel["computed"], kernel["expected"]) == (256, 512)
     assert kernel["passed"] is False
+    assert rep["all_passed"] is False
+
+
+def _retagged(g, auts, **tags):
+    """g with some meta tags replaced, and auts moved onto it."""
+    h = FiniteGroup(g.mul, g.gens, g.labels, {**g.meta, **tags})
+    return h, [Automorphism(h, a.perm, a.source) for a in auts]
+
+
+def test_short_v_basis_tag_declines_the_exact_sequence():
+    g = build_a2(3, 1)
+    auts = known_aut_generators(g)
+    h, moved = _retagged(g, auts, v_basis=g.meta["v_basis"][:-1])
+    assert special_coords(h) is None
+    with pytest.raises(Unsupported):
+        verify_lemma31(h, moved)
+    # the full chain still gives the order
+    assert _exact_sequence_order(h, moved) is None
+    assert aut_group_order(h, moved) == aut_group_order(g, auts) == 10752
+
+
+def test_short_z_basis_tag_fails_the_kernel_check():
+    g = build_a2(3, 1)
+    h, moved = _retagged(g, known_aut_generators(g), z_basis=g.meta["z_basis"][:-1])
+    # dim Z is counted from the table, not from the tag
+    assert special_coords(h).dim_z == 3
+    assert verify_lemma31(h, moved)["all_passed"] is True
+    # central_maps reads the tag and builds 6 of the 9 kernel generators
+    rep = verify_lemma31(h)
+    kernel = next(c for c in rep["checks"] if c["name"] == "central_kernel_order")
+    assert (kernel["computed"], kernel["expected"]) == (64, 512)
     assert rep["all_passed"] is False
 
 
@@ -541,19 +573,19 @@ def family_with_auts(request):
 def test_point_actions_match_the_matrix_route(family_with_auts):
     g, auts = family_with_auts
     dim_v, dim_z = len(g.meta["v_basis"]), len(g.meta["z_basis"])
-    v_points, z_points = _point_actions(g, [a.perm for a in auts])
+    sc = special_coords(g)
+    v_points, z_points = sc.points([a.perm for a in auts])
     assert v_points == [matrix_points(old_quotient_matrix(g, a), dim_v) for a in auts]
     # the Z points are in the table-derived basis: T sends table coordinate
     # 1 << k to the z_basis coordinates of the member it numbers, so each
     # new matrix M is the old one conjugated, M T = T M_old
-    member = {c: z for z, c in _center_coords(g).items()}
-    t = Matrix(GF2, [old_z_coords(g, g.labels[member[1 << k]][1]) for k in range(dim_z)])
-    for a, zp in zip(auts, z_points):
-        m = induced_action_on_center(g, a)
+    t = Matrix(GF2, [old_z_coords(g, g.labels[sc.members[1 << k]][1]) for k in range(dim_z)])
+    for a, vp, zp in zip(auts, v_points, z_points):
+        m = point_matrix(zp, dim_z)
         assert matrix_points(m, dim_z) == zp
         assert m * t == t * old_center_matrix(g, a)
-        assert induced_action_on_quotient(g, a) == old_quotient_matrix(g, a)
-    assert commutator_matrix(g) * t == old_commutator_matrix(g)
+        assert point_matrix(vp, dim_v) == old_quotient_matrix(g, a)
+    assert sc.commutator_matrix() * t == old_commutator_matrix(g)
 
 
 def test_lemma31_values_match_the_matrix_route(family_with_auts):
@@ -574,13 +606,13 @@ def test_lemma31_values_match_the_matrix_route(family_with_auts):
 
 
 def test_lemma31_fails_when_the_center_points_are_wrong(monkeypatch):
-    real = automorphisms._point_actions
+    real = automorphisms.SpecialCoords.points
 
-    def identity_on_center(group, perms):
-        v_points, z_points = real(group, perms)
+    def identity_on_center(sc, perms):
+        v_points, z_points = real(sc, perms)
         return v_points, [tuple(range(len(zp))) for zp in z_points]
 
-    monkeypatch.setattr(automorphisms, "_point_actions", identity_on_center)
+    monkeypatch.setattr(automorphisms.SpecialCoords, "points", identity_on_center)
     rep = verify_lemma31(build_a2(3, 1))
     checks = {c["name"]: c for c in rep["checks"]}
     assert checks["fusion_orbit_formula"]["o_m"] == 8

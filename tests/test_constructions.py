@@ -13,6 +13,7 @@ from suzuki2.errors import (
     Unsupported,
 )
 from suzuki2.gf2n import FieldContext
+from suzuki2.groups import FiniteGroup
 from suzuki2.linalg import Matrix
 from suzuki2 import constructions
 from suzuki2.constructions import (
@@ -273,6 +274,22 @@ def test_presentation_reports_a_changed_relation(monkeypatch, table, key, word, 
     zb = pe.meta["z_basis"]
     assert bad["expected"] == str((0, zb[word[0] - 1]))
     assert bad["computed"] != bad["expected"]
+
+
+def test_presentation_reports_a_non_central_z():
+    # swap the labels of z1 = (0, 1) and x1 = (1, 0): the label z1 now
+    # sits on an element of order 4 that commutes with neither x2 nor x3
+    pe = build_p_epsilon()
+    labels = list(pe.labels)
+    i, j = labels.index((0, 1)), labels.index((1, 0))
+    labels[i], labels[j] = labels[j], labels[i]
+    swapped = FiniteGroup(pe.mul, pe.gens, labels, pe.meta)
+    rep = check_p_epsilon_presentation(swapped)
+    holds = {r["relation"]: r["holds"] for r in rep["relations"]}
+    assert holds["z1^2 = 1"] is False
+    assert holds["[x2,z1] = 1"] is False
+    assert holds["z2^2 = 1"] and holds["z3^2 = 1"] and holds["[z2,z3] = 1"]
+    assert rep["all_hold"] is False
 
 
 def test_cocycle_group_checks_the_closure_order():

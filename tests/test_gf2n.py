@@ -8,7 +8,6 @@ from suzuki2.gf2n import (
     PEPS_POLY,
     FieldContext,
     is_irreducible,
-    is_primitive,
     poly_mod,
     poly_mul,
 )
@@ -29,20 +28,26 @@ def naive_mul(x, y, poly, n):
 def test_default_polys_are_primitive():
     for n, p in DEFAULT_POLYS.items():
         assert p.bit_length() - 1 == n
-        assert is_primitive(p)
+        assert is_irreducible(p)
+        ctx = FieldContext(n, p)
+        assert ctx.is_generator(ctx.t)
 
 
 def test_default_polys_are_smallest():
+    # masks without a constant term have the root 0, never a generator
     for n, p in DEFAULT_POLYS.items():
-        for mask in range(1 << n, p):
-            assert not is_primitive(mask)
+        for mask in range((1 << n) | 1, p, 2):
+            if is_irreducible(mask):
+                ctx = FieldContext(n, mask)
+                assert not ctx.is_generator(ctx.t)
 
 
 def test_peps_poly_irreducible_and_primitive():
     # x^6+x^4+x^3+x+1: the toolkit verifies primitivity instead of assuming it
     assert PEPS_POLY == 0x5B
     assert is_irreducible(PEPS_POLY)
-    assert is_primitive(PEPS_POLY)
+    ctx = FieldContext(6, PEPS_POLY)
+    assert ctx.is_generator(ctx.t)
 
 
 def test_create_rejects_reducible():
@@ -234,7 +239,6 @@ def power_walk_order(x, poly):
 
 def test_table_modulus_kinds():
     assert all(is_irreducible(p) for _, p in TABLE_MODULI)
-    assert not is_primitive(0x1F)
     assert power_walk_order(0b10, 0x1F) == 5
     ctx = FieldContext(4, 0x1F)
     assert not ctx.is_generator(0b10)

@@ -6,7 +6,7 @@ import pytest
 
 from suzuki2.errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatrix
 from suzuki2.gf2n import FieldContext
-from suzuki2.linalg import GF2, Matrix, Subspace, matrix_from_text, wedge_pairs
+from suzuki2.linalg import GF2, Matrix, Subspace, read_matrix, wedge_pairs
 
 F4 = FieldContext(2)
 F8 = FieldContext(3)
@@ -234,9 +234,10 @@ def test_text_roundtrip():
     for ctx in (GF2, F4, F8):
         m = rand_matrix(ctx, 3, 4, rng)
         text = m.to_text()
-        parsed, rest = matrix_from_text(text.splitlines())
+        lines = text.splitlines()
+        parsed, idx = read_matrix(lines, 0)
         assert parsed == m
-        assert rest == []
+        assert idx == len(lines)
     head = Matrix.identity(F8, 2).to_text().splitlines()[0]
     assert head == "field 3 poly=0xB"
 
@@ -245,9 +246,9 @@ def test_text_two_matrices_stream():
     a = Matrix.identity(F4, 2)
     b = Matrix(F4, [[1, 2], [3, 0]])
     lines = (a.to_text() + b.to_text()).splitlines()
-    first, rest = matrix_from_text(lines)
-    second, rest = matrix_from_text(rest)
-    assert first == a and second == b and rest == []
+    first, idx = read_matrix(lines, 0)
+    second, idx = read_matrix(lines, idx)
+    assert first == a and second == b and idx == len(lines)
 
 
 def test_entries_are_checked_where_they_enter():
@@ -260,9 +261,9 @@ def test_entries_are_checked_where_they_enter():
     # a row with bits past its last entry used to lose them silently
     for row in ("2", "-1"):
         with pytest.raises(BadFormat, match="row at line 3 is out of range"):
-            matrix_from_text(["field 1 poly=0x3", "dim 1 1", row])
+            read_matrix(["field 1 poly=0x3", "dim 1 1", row], 0)
     with pytest.raises(BadFormat, match="row at line 4 is out of range"):
-        matrix_from_text(["field 2 poly=0x7", "dim 2 2", "f", "1f"])
+        read_matrix(["field 2 poly=0x7", "dim 2 2", "f", "1f"], 0)
 
 
 def test_subspace_checks_its_entries():

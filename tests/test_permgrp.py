@@ -19,7 +19,6 @@ from suzuki2.permgrp import (
     normal_closure,
     orbit,
     orbits,
-    perfect_residual,
     perm_order,
     random_subgroup_search,
     validate_permutation,
@@ -303,7 +302,7 @@ def test_derived_series_gl1_8():
     series = derived_series(gens)
     assert [c.order() for c in series] == [7, 1]
     assert is_solvable(gens)
-    assert perfect_residual(gens).order() == 1
+    assert series[-1].order() == 1
 
 
 def test_derived_series_sl32_perfect():
@@ -311,7 +310,7 @@ def test_derived_series_sl32_perfect():
     series = derived_series(gens)
     assert [c.order() for c in series] == [168]
     assert not is_solvable(gens)
-    res = perfect_residual(gens)
+    res = series[-1]
     assert res.order() == 168
     # perfect: derived subgroup of the residual is the residual
     assert derived_series(res.gens)[-1].order() == 168
