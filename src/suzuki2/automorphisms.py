@@ -347,19 +347,15 @@ def special_coords(group):
 
     The group must be special, so Z = Z(G) = G' = Phi(G) is elementary
     abelian, and 2^dim V * |Z| = |G| must hold for dim V the length of
-    the v_basis tag; dim Z is counted from the table. Z gets its
-    coordinates by doubling a span: the members reached so far form a
-    subgroup of order 2^k numbered 0 .. 2^k - 1, and the first member z
-    outside it adds w*z with coordinate coord[w] | 2^k for every reached
-    w. So z becomes basis vector k, and coord is GF(2)-linear.
+    the v_basis tag; dim Z is counted from the table. The coordinates of
+    Z, in the basis of generator commutators, are those of
+    FiniteGroup.special_center.
     """
-    if "v_basis" not in group.meta or not group.is_special_2group():
+    if "v_basis" not in group.meta:
         return None
-    mul = group.mul
-    coord = {0: 0}
-    for z in group.center().members:
-        if z not in coord:
-            coord.update({mul[w][z]: c | len(coord) for w, c in list(coord.items())})
+    coord = group.special_center()
+    if coord is None:
+        return None
     dim_v = len(group.meta["v_basis"])
     if (1 << dim_v) * len(coord) != group.n:
         return None

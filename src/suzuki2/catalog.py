@@ -303,7 +303,10 @@ def _parse_trailer(line):
 def load_entry(path):
     """Parse matrix blocks plus the expect trailer; name is the file stem."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path.name}: not text ({exc.reason})") from None
     provenance = {}
     for ln in lines:
         s = ln.strip()

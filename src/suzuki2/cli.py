@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a check or scenario failed, 2 usage or
 configuration error (argparse errors included), 3 a verdict came back
-unknown. Bad input never escapes as a traceback; toolkit errors are
-printed and mapped to exit 2.
+unknown. Bad input never escapes as a traceback; toolkit errors and
+unreadable files (OSError, UnicodeDecodeError) are printed and mapped to
+exit 2.
 
 Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
@@ -143,7 +144,7 @@ def _cmd_field(args):
 def _cmd_construct(args):
     g = build_family(args.spec)
     print(
-        f"order {g.n}, center {g.center().order}, "
+        f"order {g.n}, center {len(g.center())}, "
         f"profile {_fmt_profile(g.order_profile())}"
     )
     return 0
@@ -187,7 +188,23 @@ def _load_module_file(path):
     return module_from_text(Path(path).read_text())
 
 
+# module op -> (fewest, most) arguments it takes
+_MODULE_ARGS = {
+    "dump": (1, 2),
+    "info": (1, 1),
+    "irreducible": (1, 1),
+    "lattice": (1, 1),
+    "iso": (2, 2),
+}
+
+
 def _cmd_module(args):
+    if args.op not in _MODULE_ARGS:
+        raise Unsupported(f"unknown module op {args.op!r}; know {', '.join(_MODULE_ARGS)}")
+    lo, hi = _MODULE_ARGS[args.op]
+    if not lo <= len(args.args) <= hi:
+        want = str(lo) if lo == hi else f"{lo} or {hi}"
+        raise BadFormat(f"module {args.op}: got {len(args.args)} arguments, takes {want}")
     if args.op == "dump":
         entry = _entry_from_name(args.args[0])
         text = module_to_text(entry.module())
@@ -211,18 +228,12 @@ def _cmd_module(args):
         lattice = submodule_lattice(_load_module_file(args.args[0]))
         print("submodule dims " + ",".join(str(w.dim) for w in lattice))
         return 0
-    if args.op == "iso":
-        verdict = is_isomorphic(
-            _load_module_file(args.args[0]), _load_module_file(args.args[1])
-        )
-        if verdict is UNKNOWN:
-            print("unknown")
-            return 3
-        print("true" if verdict else "false")
-        return 0
-    raise Unsupported(
-        f"unknown module op {args.op!r}; know dump, info, irreducible, lattice, iso"
-    )
+    verdict = is_isomorphic(_load_module_file(args.args[0]), _load_module_file(args.args[1]))
+    if verdict is UNKNOWN:
+        print("unknown")
+        return 3
+    print("true" if verdict else "false")
+    return 0
 
 
 def _cmd_catalog(args):
@@ -346,10 +357,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,10 +52,6 @@ class Unsupported(ToolkitError):
     pass
 
 
-class NotNormal(ToolkitError):
-    pass
-
-
 # constructions
 class BadTheta(ToolkitError):
     pass

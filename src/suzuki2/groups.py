@@ -8,60 +8,19 @@ table is reproducible bit-exactly across runs.
 Associativity is verified exactly on construction, at every order, by
 Light's test over the generating set, which by Light's theorem is
 equivalent to checking all triples.
+
+Beyond the table a group answers element orders, commutators, its
+center, and whether it is special: special_center decides that in one
+pass over the table and returns the GF(2) coordinates of Z(G) that the
+automorphism layer reads. No subgroup objects are built.
 """
 
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import GroupTooLarge, NotAGroup, NotNormal, Unsupported
+from .errors import GroupTooLarge, NotAGroup
 
 ORDER_CAP = 4096
-
-
-class Subgroup:
-    """Sorted member ids of a FiniteGroup, with a normality flag."""
-
-    __slots__ = ("group", "members", "is_normal", "_member_set")
-
-    def __init__(self, group, members):
-        self.group = group
-        self.members = tuple(sorted(set(members)))
-        self._member_set = frozenset(self.members)
-        if 0 not in self._member_set:
-            raise NotAGroup("subgroup must contain the identity")
-        mul, inv = group.mul, group.inv
-        for x in self.members:
-            if inv[x] not in self._member_set:
-                raise NotAGroup("subgroup not closed under inverse")
-            row = mul[x]
-            for y in self.members:
-                if row[y] not in self._member_set:
-                    raise NotAGroup("subgroup not closed under multiplication")
-        self.is_normal = all(
-            mul[inv[g]][mul[x][g]] in self._member_set
-            for g in group.gens
-            for x in self.members
-        )
-
-    @property
-    def order(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self._member_set
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group is other.group
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.members))
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order}, normal={self.is_normal})"
 
 
 class FiniteGroup:
@@ -133,9 +92,6 @@ class FiniteGroup:
     def order(self):
         return self.n
 
-    def label_of(self, i):
-        return self.labels[i] if self.labels is not None else i
-
     def __repr__(self):
         return f"FiniteGroup(order={self.n})"
 
@@ -182,143 +138,58 @@ class FiniteGroup:
         mul, inv = self.mul, self.inv
         return mul[mul[inv[x]][inv[y]]][mul[x][y]]
 
-    def subgroup_generated(self, seeds):
-        """Closure of the seeds; inverses come for free in a finite group."""
-        mul = self.mul
-        seeds = sorted(set(seeds) | {0})
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = mul[x]
-                for s in seeds:
-                    y = row[s]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return Subgroup(self, seen)
-
-    def normal_closure(self, seeds):
-        """Smallest normal subgroup containing the seeds."""
-        mul, inv, gens = self.mul, self.inv, self.gens
-        pool = set(seeds)
-        while True:
-            extra = set()
-            for x in pool:
-                for g in gens:
-                    y = mul[mul[inv[g]][x]][g]
-                    if y not in pool:
-                        extra.add(y)
-            if not extra:
-                break
-            pool |= extra
-        return self.subgroup_generated(pool)
-
     def center(self):
+        """The ids of Z(G), sorted."""
         mul = self.mul
-        members = [
-            x
-            for x in range(self.n)
-            if all(mul[x][g] == mul[g][x] for g in self.gens)
-        ]
-        return Subgroup(self, members)
-
-    def derived_subgroup(self):
-        """Normal closure of the commutators of the generators."""
-        comms = {
-            self.commutator(g, h) for g in self.gens for h in self.gens
-        }
-        return self.normal_closure(comms)
-
-    def frattini(self):
-        """For a 2-group: the subgroup generated by squares and commutators."""
-        if self.n & (self.n - 1):
-            raise Unsupported("frattini computed only for 2-groups")
-        mul = self.mul
-        seeds = {mul[x][x] for x in range(self.n)}
-        seeds |= {self.commutator(g, h) for g in self.gens for h in self.gens}
-        return self.normal_closure(seeds)
-
-    def is_abelian(self):
-        mul = self.mul
-        return all(mul[g][h] == mul[h][g] for g in self.gens for h in self.gens)
-
-    def is_elementary_abelian_subgroup(self, sub):
-        mul = self.mul
-        return all(mul[x][x] == 0 for x in sub.members) and all(
-            mul[x][y] == mul[y][x] for x in sub.members for y in sub.members
+        return tuple(
+            x for x in range(self.n) if all(mul[x][g] == mul[g][x] for g in self.gens)
         )
 
+    def special_center(self):
+        """GF(2) coordinates of Z = Z(G) when G is special, else None.
+
+        Special means a nonabelian 2-group with Z(G) = G' = Phi(G)
+        elementary abelian. Three checks on the table decide it: |G| > 1,
+        every square is central, and the commutators [g_i, g_j] of the
+        generator pairs i < j generate all of Z(G).
+
+        - With every square central, G/Z is elementary abelian, and
+          G' <= <G^2> <= Z by [x, y] = x^-2 (x y^-1)^2 y^2.
+        - So G has class at most 2, the commutator map is bilinear
+          ([xy, z] = [x, z][y, z]), and its values have order at most 2
+          ([x, y]^2 = [x^2, y] = 1). Hence G' = <[g_i, g_j] : i < j> is
+          elementary abelian, since [g_j, g_i] = [g_i, g_j] and
+          [g_i, g_i] = 1, and the doubling below is GF(2)-linear.
+        - G' = Z then forces Phi(G) = <G^2> = Z, |G| = |G/Z| |Z| a power
+          of 2, and G nonabelian: an abelian G would have Z = G = G' = 1,
+          which |G| > 1 excludes.
+
+        Conversely a special group passes: its squares lie in Phi(G) = Z,
+        so G' = Z is generated by the [g_i, g_j] as above.
+
+        G' is built by doubling a span: the members reached so far form a
+        subgroup of order 2^k numbered 0 .. 2^k - 1, and the first
+        commutator c outside it adds w*c with coordinate coord[w] | 2^k
+        for every reached w. So c becomes basis vector k. As G' <= Z, the
+        two are equal exactly when their orders are.
+        """
+        if self.n == 1:
+            return None
+        mul, gens = self.mul, self.gens
+        central = set(self.center())
+        if any(mul[x][x] not in central for x in range(self.n)):
+            return None
+        coord = {0: 0}
+        for i, g in enumerate(gens):
+            for h in gens[i + 1 :]:
+                c = self.commutator(g, h)
+                if c not in coord:
+                    coord.update({mul[w][c]: k | len(coord) for w, k in list(coord.items())})
+        return coord if len(coord) == len(central) else None
+
     def is_special_2group(self):
-        """Nonabelian with center = derived = Frattini, center elementary abelian."""
-        if self.n & (self.n - 1):
-            return False
-        if self.is_abelian():
-            return False
-        z = self.center()
-        if not self.is_elementary_abelian_subgroup(z):
-            return False
-        return z == self.derived_subgroup() and z == self.frattini()
-
-    def squares_constant_on_central_cosets(self):
-        """Whether x -> x^2 depends only on the central coset of x."""
-        if not (self.is_special_2group() and self.exponent() == 4):
-            raise Unsupported("defined for special 2-groups of exponent 4")
-        mul = self.mul
-        z = self.center()
-        seen_cosets = {}
-        for x in range(self.n):
-            rep = min(mul[x][c] for c in z.members)
-            sq = mul[x][x]
-            if seen_cosets.setdefault(rep, sq) != sq:
-                return False
-        return True
-
-    def quotient(self, sub):
-        """Coset group with minimal-id representatives."""
-        if not sub.is_normal:
-            raise NotNormal("quotient by a non-normal subgroup")
-        mul = self.mul
-        rep = [-1] * self.n
-        for x in range(self.n):
-            if rep[x] >= 0:
-                continue
-            coset = sorted(mul[x][h] for h in sub.members)
-            r = coset[0]
-            for y in coset:
-                rep[y] = r
-        reps = sorted(set(rep))
-        index = {r: i for i, r in enumerate(reps)}
-        table = [
-            [index[rep[mul[a][b]]] for b in reps]
-            for a in reps
-        ]
-        gen_ids = []
-        for g in self.gens:
-            i = index[rep[g]]
-            if i != 0 and i not in gen_ids:
-                gen_ids.append(i)
-        if not gen_ids:
-            gen_ids = [0]
-        return FiniteGroup(table, gen_ids, labels=tuple(reps))
-
-    def describe(self):
-        """JSON-ready structural summary."""
-        prof = self.order_profile()
-        return {
-            "order": self.n,
-            "order_profile": {str(k): prof[k] for k in sorted(prof)},
-            "center_order": self.center().order,
-            "generators": [_label_json(self.label_of(g)) for g in self.gens],
-        }
-
-
-def _label_json(label):
-    if isinstance(label, tuple):
-        return [_label_json(x) for x in label]
-    return label
+        """Whether G is special; see special_center."""
+        return self.special_center() is not None
 
 
 def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):

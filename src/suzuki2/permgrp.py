@@ -100,13 +100,21 @@ def orbits(gens, npoints):
     """All orbits, each in BFS order, starting from the smallest unseen point."""
     for g in gens:
         validate_permutation(g, npoints)
-    seen = set()
+    seen = bytearray(npoints)
     parts = []
     for start in range(npoints):
-        if start in seen:
+        if seen[start]:
             continue
-        part = _orbit(gens, start)
-        seen.update(part)
+        seen[start] = 1
+        part = [start]
+        # the list is its own BFS queue: points are expanded in the order
+        # they were reached, which is _orbit's level-by-level order
+        for pt in part:
+            for g in gens:
+                img = g[pt]
+                if not seen[img]:
+                    seen[img] = 1
+                    part.append(img)
         parts.append(part)
     return parts
 

@@ -497,11 +497,12 @@ def is_isomorphic(m1, m2):
     to 2^20 combinations, then by seeded random trials; an exhausted
     random search returns UNKNOWN.
     """
-    homs = hom_space(m1, m2)
+    _same_symbols(m1, m2)
     if m1.dim != m2.dim:
         return False
     if m1.dim == 0:
         return True
+    homs = hom_space(m1, m2)
     if not homs:
         return False
     # past 2^16 points is_irreducible refutes or raises Unsupported, so

@@ -184,7 +184,7 @@ def test_fusion_classes():
     assert fp.sizes == (1, 7, 56)
     assert fp.classes[0] == (0,)
     # the 7-class is exactly the nontrivial center
-    assert set(fp.classes[1]) == set(g.center().members) - {0}
+    assert set(fp.classes[1]) == set(g.center()) - {0}
     # no automorphisms: everything is a singleton
     trivial = fusion_classes(g, [])
     assert trivial.sizes == (1,) * 64
@@ -485,11 +485,15 @@ def test_certificate_catches_one_bad_generator_column():
     # column of x can fail, and it does: a is not central
     g = build_a2(3, 1)
     mul = g.mul
-    sub = g.subgroup_generated(g.gens[:-1])
+    sub = [0]  # H, closed in BFS order
+    for y in sub:
+        for h in g.gens[:-1]:
+            if mul[y][h] not in sub:
+                sub.append(mul[y][h])
     x = g.gens[-1]
     assert x not in sub
     a = mul[mul[x][g.gens[0]]][g.inv[x]]
-    coset = {mul[x][h] for h in sub.members}
+    coset = {mul[x][h] for h in sub}
     perm = [mul[a][y] if y in coset else y for y in range(g.n)]
     bad = [
         h

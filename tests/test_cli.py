@@ -140,6 +140,53 @@ def test_module_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_module_wrong_argument_count(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(module_to_text(catalog.entry_sl(2, 1).module()))
+    p = str(path)
+    for argv, want in (
+        (["iso", p], "module iso: got 1 arguments, takes 2"),
+        (["iso", p, p, p], "module iso: got 3 arguments, takes 2"),
+        (["info", p, "extra"], "module info: got 2 arguments, takes 1"),
+        (["irreducible", p, p], "module irreducible: got 2 arguments, takes 1"),
+        (["lattice", p, p], "module lattice: got 2 arguments, takes 1"),
+        (["dump", "sl:2:1", p, "extra"], "module dump: got 3 arguments, takes 1 or 2"),
+    ):
+        code, out, err = run(capsys, ["module"] + argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and want in err, argv
+        assert out == "", argv
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"gen g0\n\xff\xfe\x00\n")
+    for argv in (
+        ["module", "info", str(tmp_path)],
+        ["module", "info", str(binary)],
+        ["verify", "all", "--config", str(tmp_path)],
+        ["verify", "all", "--config", str(binary)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
+        assert out == "", argv
+
+
+def test_verify_undecodable_data_file_fails(capsys, tmp_path):
+    (tmp_path / "a6.txt").write_bytes(b"\xff\xfe" + bytes(range(256)))
+    out = tmp_path / "out"
+    code, text, _ = run(
+        capsys,
+        ["verify", "small-eliminations", "--entry", "a6", "--data-dir", str(tmp_path), "--out", str(out)],
+    )
+    assert code == 1
+    assert "small-eliminations entry=a6 -> fail" in text
+    claim = json.loads((out / "small-eliminations-entry-a6.json").read_text())["claims"][0]
+    assert claim["id"] == "data-file"
+    assert claim["computed"].startswith("BadFormat: a6.txt: not text")
+
+
 def test_catalog_verify_ok(capsys):
     code, out, _ = run(capsys, ["catalog", "verify", "sp4:1"])
     assert code == 0

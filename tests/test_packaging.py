@@ -1,0 +1,33 @@
+"""The toolkit stays standard-library only: no declared or imported dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_package_imports_only_stdlib_or_itself():
+    sources = sorted((ROOT / "src" / "suzuki2").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

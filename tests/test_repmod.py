@@ -415,6 +415,21 @@ def test_is_isomorphic_basics():
     assert is_isomorphic(m, conj) is True
 
 
+def test_is_isomorphic_compares_dims_before_the_hom_space(monkeypatch):
+    def no_hom_space(*args):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(repmod, "hom_space", no_hom_space)
+    m = sl3_2()
+    assert is_isomorphic(m, tensor(m, m)) is False
+    # mismatched fields and symbols still raise, whatever the dims
+    with pytest.raises(FieldMismatch):
+        is_isomorphic(m, sl2_4())
+    other = GModule(GF2, 1, {"g": Matrix.identity(GF2, 1)})
+    with pytest.raises(Unsupported, match="different generator symbols"):
+        is_isomorphic(m, other)
+
+
 def _companion(d, taps):
     rows = [[0] * d for _ in range(d)]
     for i in range(d - 1):
