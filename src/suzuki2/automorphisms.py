@@ -1,8 +1,8 @@
 """Automorphisms as certified permutations of element ids.
 
 Every map in this module is wrapped in an Automorphism whose constructor
-re-checks the multiplicative certificate perm(x*g) = perm(x)*perm(g) for
-every element x and every generator g of the group. By induction on word
+re-checks the multiplicative certificate perm(g*x) = perm(g)*perm(x) for
+every generator g of the group and every element x. By induction on word
 length that is the full homomorphism property, so nothing downstream
 ever trusts a formula. The known generator families are:
 
@@ -56,20 +56,23 @@ def _pairs_witness(mul_src, mul_dst, maps):
 def _certificate_witness(mul_src, mul_dst, maps, gens):
     """First x with maps[x*y] != maps[x]*maps[y] for some y, else -1.
 
-    Only the columns of the source's generators are compared. That is
-    enough: if maps[x*g] == maps[x]*maps[g] for every x and every
-    generator g, then by induction on word length
-    maps[x*w*g] = maps[x*w]*maps[g] = maps[x]*maps[w]*maps[g]
-    = maps[x]*maps[w*g], so maps[x*w] == maps[x]*maps[w] for every
-    positive word w, and in a finite group those words are all the
-    elements. FiniteGroup._check_table refuses generators that do not
-    generate the group. A mismatch in a column is a failing pair, so the
-    row scan run on a mismatch always names a witness, the same one the
-    full |G|^2 scan would name.
+    Only the rows of the source's generators are compared: for each
+    generator g, maps[g*x] == maps[g]*maps[x] for every x. Both sides
+    read rows that exist already, maps[g*x] over the row mul_src[g] and
+    maps[g]*maps[x] as the row mul_dst[maps[g]] read at the maps. That
+    is enough, by induction on the length of a positive word w: if
+    maps[w*x] == maps[w]*maps[x] for every x, then for a generator g
+    maps[g*w*x] = maps[g]*maps[w*x] = maps[g]*maps[w]*maps[x]
+    = maps[g*w]*maps[x], the last step being g's row at x = w. In a
+    finite group the positive words are all the elements, and
+    FiniteGroup._check_table refuses generators that do not generate the
+    group. A mismatch in a row is a failing pair, so the full scan run
+    on a mismatch always names a witness, the same one the full |G|^2
+    scan would name.
     """
+    get = itemgetter(*maps)
     for g in gens:
-        mg = maps[g]
-        if [maps[row[g]] for row in mul_src] != [mul_dst[m][mg] for m in maps]:
+        if itemgetter(*mul_src[g])(maps) != get(mul_dst[maps[g]]):
             return _pairs_witness(mul_src, mul_dst, maps)
     return -1
 
@@ -118,50 +121,7 @@ class Automorphism:
         return Automorphism(self.group, invert(self.perm))
 
 
-def _extend_images(mul_src, mul_dst, gen_ids, images, state=None):
-    """Grow a partial injective homomorphism by one generator image.
-
-    state is (maps, hit, covered) for gen_ids[:-1]; None starts from the
-    identity alone and extends by every generator at once. Consistency
-    failures raise NotAHomomorphism, image collisions NotBijective.
-    Returns the new state; the input state is not modified, so a search
-    tree can share parent states.
-    """
-    if state is None:
-        maps = [-1] * len(mul_src)
-        maps[0] = 0
-        hit = bytearray(len(mul_dst))
-        hit[0] = 1
-        covered = [0]
-        old = 0
-    else:
-        maps = list(state[0])
-        hit = bytearray(state[1])
-        covered = list(state[2])
-        old = len(covered)
-    pairs = list(zip(gen_ids, images))
-    newest = pairs[-1:]
-    head = 0
-    while head < len(covered):
-        x = covered[head]
-        head += 1
-        fx = maps[x]
-        # elements covered before this call only need the new generator
-        for g, m in newest if head <= old else pairs:
-            y = mul_src[x][g]
-            fy = mul_dst[fx][m]
-            if maps[y] < 0:
-                if hit[fy]:
-                    raise NotBijective("two elements share an image")
-                maps[y] = fy
-                hit[fy] = 1
-                covered.append(y)
-            elif maps[y] != fy:
-                raise NotAHomomorphism("inconsistent generator images")
-    return maps, hit, covered
-
-
-def _first_extension(mul_src, mul_dst, gen_ids, choices, images=(), state=None):
+def _first_extension(mul_src, mul_dst, gen_ids, choices):
     """First total injective map on generator images from choices, or None.
 
     choices[i] lists the candidate images of gen_ids[i]. The tree of
@@ -172,20 +132,64 @@ def _first_extension(mul_src, mul_dst, gen_ids, choices, images=(), state=None):
     maps[x*g] = maps[x]*maps[g] for every x and generator g and is
     injective, so between groups of one order it is an isomorphism; None
     means no such map exists with these choices.
+
+    The walk keeps one state: maps (-1 where unset), hit (the images
+    taken) and covered (the ids of the subgroup the chosen generators
+    generate, in the order they were reached). Extending by gen_ids[depth]
+    only appends to covered and sets maps and hit at the appended ids;
+    the ids covered before need only the new generator, since they are
+    closed under the earlier ones. So covered[old:] is the undo trail: it
+    names every entry the extension set. descend clears those entries
+    and truncates covered after each candidate, whether the extension
+    failed, its subtree held no leaf or a leaf was copied out, so after
+    a return of descend the state equals what it was at entry.
     """
-    depth = len(images)
-    if depth == len(gen_ids):
-        return None if -1 in state[0] else state[0]
-    for c in choices[depth]:
-        trial = (*images, c)
-        try:
-            nxt = _extend_images(mul_src, mul_dst, gen_ids[: depth + 1], trial, state)
-        except (NotAHomomorphism, NotBijective):
-            continue
-        maps = _first_extension(mul_src, mul_dst, gen_ids, choices, trial, nxt)
-        if maps is not None:
-            return maps
-    return None
+    maps = [-1] * len(mul_src)
+    maps[0] = 0
+    hit = bytearray(len(mul_dst))
+    hit[0] = 1
+    covered = [0]
+    pairs = []
+
+    def extend(old):
+        newest = pairs[-1:]
+        head = 0
+        while head < len(covered):
+            x = covered[head]
+            head += 1
+            row, drow = mul_src[x], mul_dst[maps[x]]
+            for g, m in newest if head <= old else pairs:
+                y = row[g]
+                fy = drow[m]
+                if maps[y] < 0:
+                    if hit[fy]:
+                        return False
+                    maps[y] = fy
+                    hit[fy] = 1
+                    covered.append(y)
+                elif maps[y] != fy:
+                    return False
+        return True
+
+    def descend(depth):
+        if depth == len(gen_ids):
+            return None if -1 in maps else tuple(maps)
+        found = None
+        for c in choices[depth]:
+            old = len(covered)
+            pairs.append((gen_ids[depth], c))
+            if extend(old):
+                found = descend(depth + 1)
+            for y in covered[old:]:
+                hit[maps[y]] = 0
+                maps[y] = -1
+            del covered[old:]
+            pairs.pop()
+            if found is not None:
+                return found
+        return None
+
+    return descend(0)
 
 
 def _label_perm(group, fn, dst=None):
@@ -455,6 +459,22 @@ def brute_force_aut(group):
     Maps in different cosets differ at g_k, and within a coset s ->
     compose(s, alpha_c) is injective, so nothing is listed twice.
 
+    Transversals: the proof needs only some t_c in A_k with t_c(g_k) = c,
+    not the first hit alpha_c. So level k keeps trans, c -> t_c, for the
+    points of the orbit of g_k reached so far, starting from g_k -> 1.
+    alphas holds every map the search has returned, at this level and
+    the deeper ones; a level-j map lies in A_j, and A_j is inside A_k for
+    j >= k. _close_orbit gives each new point e = a(d), a in alphas, the
+    product t_e = compose(t_d, a), a product of maps in A_k, so t_e is in
+    A_k and sends g_k to a(t_d(g_k)) = a(d) = e. A candidate found in
+    trans takes t_c as its representative and skips the search; any other
+    candidate runs the search, and each map it returns joins alphas and
+    re-closes the orbit. The coset compose(A_(k+1), t_c) is the set of
+    all maps of A_k sending g_k to c, whichever t_c represents it, so
+    sorting it gives the same list as sorting compose(A_(k+1), alpha_c),
+    and the output does not depend on the choice. trans is dropped when
+    its level ends.
+
     Order: the exhaustive tree search over the candidate lists emits its
     automorphisms in lexicographic order of the generator image tuples.
     At level k the first k images are fixed and the cosets come in
@@ -466,16 +486,41 @@ def brute_force_aut(group):
     cands = _image_candidates(group, group)
     gens = list(group.gens)
     mul = group.mul
-    below = [tuple(range(group.n))]
+    identity = tuple(range(group.n))
+    below = [identity]
+    alphas = []
     for k in reversed(range(len(gens))):
         fixed = [[g] for g in gens[:k]]
+        trans = {gens[k]: identity}
         level = []
         for c in cands[k]:
-            alpha = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
-            if alpha is not None:
-                level += sorted((compose(s, alpha) for s in below), key=itemgetter(*gens))
+            t = trans.get(c)
+            if t is None:
+                t = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
+                if t is None:
+                    continue
+                alphas.append(t)
+                _close_orbit(trans, alphas)
+            level += sorted((compose(s, t) for s in below), key=itemgetter(*gens))
         below = level
     return [Automorphism(group, perm, "bruteforce") for perm in below]
+
+
+def _close_orbit(trans, perms):
+    """Extend the transversal trans to the orbit of its points under perms.
+
+    trans maps a point d to a permutation sending the level's generator
+    to d; each new point e = a[d] gets compose(trans[d], a), which sends
+    the generator to d and then to e.
+    """
+    queue = list(trans)
+    for d in queue:
+        t = trans[d]
+        for a in perms:
+            e = a[d]
+            if e not in trans:
+                trans[e] = compose(t, a)
+                queue.append(e)
 
 
 def is_at_group(group, auts):
@@ -578,7 +623,6 @@ def find_isomorphism(src, dst):
     maps = _first_extension(src.mul, dst.mul, list(src.gens), cands)
     if maps is None:
         raise NotFound("no isomorphism over the candidate images")
-    maps = tuple(maps)
     g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
     if g >= 0:
         raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")

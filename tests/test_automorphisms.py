@@ -28,7 +28,6 @@ from suzuki2.automorphisms import (
     Automorphism,
     _certificate_witness,
     _exact_sequence_order,
-    _extend_images,
     _label_perm,
     _pairs_witness,
     aut_group_order,
@@ -210,6 +209,50 @@ def test_aut_group_order_peps():
     assert aut_group_order(g, known_aut_generators(g)) == 16515072
 
 
+def _extend_images(mul_src, mul_dst, gen_ids, images, state=None):
+    """Grow a partial injective homomorphism by one generator image.
+
+    state is (maps, hit, covered) for gen_ids[:-1]; None starts from the
+    identity alone and extends by every generator at once. Consistency
+    failures raise NotAHomomorphism, image collisions NotBijective.
+    Returns the new state; the input state is not modified, so a search
+    tree can share parent states. This is the copy-based step the
+    library's in-place search replaced.
+    """
+    if state is None:
+        maps = [-1] * len(mul_src)
+        maps[0] = 0
+        hit = bytearray(len(mul_dst))
+        hit[0] = 1
+        covered = [0]
+        old = 0
+    else:
+        maps = list(state[0])
+        hit = bytearray(state[1])
+        covered = list(state[2])
+        old = len(covered)
+    pairs = list(zip(gen_ids, images))
+    newest = pairs[-1:]
+    head = 0
+    while head < len(covered):
+        x = covered[head]
+        head += 1
+        fx = maps[x]
+        # elements covered before this call only need the new generator
+        for g, m in newest if head <= old else pairs:
+            y = mul_src[x][g]
+            fy = mul_dst[fx][m]
+            if maps[y] < 0:
+                if hit[fy]:
+                    raise NotBijective("two elements share an image")
+                maps[y] = fy
+                hit[fy] = 1
+                covered.append(y)
+            elif maps[y] != fy:
+                raise NotAHomomorphism("inconsistent generator images")
+    return maps, hit, covered
+
+
 def tree_search_aut(group):
     """Reference: every leaf of the full generator-image tree, in tree order.
 
@@ -374,6 +417,24 @@ def test_find_isomorphism_rejects_mismatch():
         find_isomorphism(build_b2(1), build_homocyclic(3, 2))
 
 
+def test_find_isomorphism_walks_the_whole_tree_before_not_found():
+    # the abelian hc:3:4 and a2:3:1 share order 64 and the order profile
+    # {1: 1, 2: 7, 4: 56}, so the profile check passes and only the
+    # exhausted search can say no, in both directions
+    a2 = build_family("a2:3:1")
+    hc = build_family("hc:3:4")
+    assert a2.order_profile() == hc.order_profile()
+    for src, dst in ((a2, hc), (hc, a2)):
+        with pytest.raises(NotFound, match="candidate images"):
+            find_isomorphism(src, dst)
+    other = build_family("a2:3:2")
+    maps = find_isomorphism(a2, other)
+    assert sorted(maps) == list(range(64))
+    assert all(
+        maps[a2.mul[x][y]] == other.mul[maps[x]][maps[y]] for x in range(64) for y in range(64)
+    )
+
+
 def test_isomorphism_from_labels_peps_power():
     # (a, x) -> (a*eps, x) carries the eps^4 cocycle onto the eps one
     pe = build_p_epsilon()
@@ -500,6 +561,31 @@ def test_certificate_catches_one_bad_generator_column():
         for h in g.gens
         if [perm[row[h]] for row in mul] != [mul[m][perm[h]] for m in perm]
     ]
+    assert bad == [x]
+    with pytest.raises(NotAHomomorphism):
+        Automorphism(g, perm)
+    assert _certificate_witness(mul, mul, perm, g.gens) == _pairs_witness(mul, mul, perm) >= 0
+
+
+def test_certificate_catches_one_bad_generator_row():
+    # y -> y a on the right coset C = Hx of H = <all generators but the
+    # last x>, with a = x^-1 g x for a generator g of H, so Ca = C. Left
+    # multiplication by a generator of H keeps every right coset, so only
+    # the row of x can fail, and it does: a is not central
+    g = build_a2(3, 1)
+    mul = g.mul
+    sub = [0]  # H, closed in BFS order
+    for y in sub:
+        for h in g.gens[:-1]:
+            if mul[y][h] not in sub:
+                sub.append(mul[y][h])
+    x = g.gens[-1]
+    assert x not in sub
+    a = mul[mul[g.inv[x]][g.gens[0]]][x]
+    coset = {mul[h][x] for h in sub}
+    perm = [mul[y][a] if y in coset else y for y in range(g.n)]
+    assert sorted(perm) == list(range(g.n))
+    bad = [h for h in g.gens if [perm[y] for y in mul[h]] != [mul[perm[h]][m] for m in perm]]
     assert bad == [x]
     with pytest.raises(NotAHomomorphism):
         Automorphism(g, perm)
