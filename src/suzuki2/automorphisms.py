@@ -1,10 +1,15 @@
 """Automorphisms as certified permutations of element ids.
 
-Every map in this module is wrapped in an Automorphism whose constructor
-re-checks the multiplicative certificate perm(g*x) = perm(g)*perm(x) for
-every generator g of the group and every element x. By induction on word
-length that is the full homomorphism property, so nothing downstream
-ever trusts a formula. The known generator families are:
+Every map in this module is an Automorphism, certified one of two ways.
+A map built from a formula or returned by a search passes the row
+certificate of the Automorphism constructor: perm(g*x) = perm(g)*perm(x)
+for every generator g of the group and every element x, which by
+induction on word length is the full homomorphism property, so nothing
+downstream ever trusts a formula. A product or inverse of certified maps
+of one group (compose, inverse and the lists brute_force_aut builds) is
+certified by closure instead: bijective homomorphisms that fix 0 are
+closed under both, so Automorphism._product wraps it with no check. The
+known generator families are:
 
   - central maps g -> g * chi(g Z), one per (generator position, Z-basis
     element) pair, built from the bit of the V-coordinate;
@@ -111,14 +116,30 @@ class Automorphism:
     def order(self):
         return perm_order(self.perm)
 
+    @classmethod
+    def _product(cls, group, perm, source="custom"):
+        """Wrap perm, a product of certified automorphisms of group, unchecked.
+
+        The only way to skip the certificate. Composition keeps a
+        bijection, a homomorphism and the fixed identity, and so does
+        inversion (in a finite group an inverse is a power), so a product
+        or inverse of automorphisms of group is one. Callers pass
+        nothing else.
+        """
+        self = object.__new__(cls)
+        self.group = group
+        self.perm = perm
+        self.source = source
+        return self
+
     def compose(self, other):
-        """Apply self, then other. The certificate runs again."""
+        """Apply self, then other; certified by closure."""
         if other.group is not self.group:
             raise Unsupported("automorphisms of different groups")
-        return Automorphism(self.group, compose(self.perm, other.perm))
+        return Automorphism._product(self.group, compose(self.perm, other.perm))
 
     def inverse(self):
-        return Automorphism(self.group, invert(self.perm))
+        return Automorphism._product(self.group, invert(self.perm))
 
 
 def _first_extension(mul_src, mul_dst, gen_ids, choices):
@@ -479,9 +500,19 @@ def brute_force_aut(group):
     automorphisms in lexicographic order of the generator image tuples.
     At level k the first k images are fixed and the cosets come in
     increasing c, so sorting each coset by its image tuple sorts the
-    level; A_0 comes out in exactly the tree's order. Every returned map
-    is certified by the Automorphism constructor, and the intermediate
-    levels are raw permutations that only feed those products.
+    level; A_0 comes out in exactly the tree's order.
+
+    Certificates: each map _first_extension returns passes the
+    Automorphism constructor before it joins alphas, and nothing else is
+    checked. The rest follows by closure: the identity, which starts
+    below and every trans, is an automorphism; each t_c is the identity
+    or a product of alphas, by _close_orbit; each level's maps are
+    products compose(s, t_c) of lower-level maps s and a t_c; and a
+    product of bijective homomorphisms that fix 0 is a bijective
+    homomorphism that fixes 0. So every listed map is an automorphism,
+    and Automorphism._product wraps it without a second check. The
+    intermediate levels are raw permutations that only feed those
+    products.
     """
     cands = _image_candidates(group, group)
     gens = list(group.gens)
@@ -499,11 +530,11 @@ def brute_force_aut(group):
                 t = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
                 if t is None:
                     continue
-                alphas.append(t)
+                alphas.append(Automorphism(group, t, "bruteforce").perm)
                 _close_orbit(trans, alphas)
             level += sorted((compose(s, t) for s in below), key=itemgetter(*gens))
         below = level
-    return [Automorphism(group, perm, "bruteforce") for perm in below]
+    return [Automorphism._product(group, perm, "bruteforce") for perm in below]
 
 
 def _close_orbit(trans, perms):

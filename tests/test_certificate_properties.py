@@ -58,7 +58,8 @@ def test_compose_and_inverse_stay_certified(i, j):
     hc = auts("hc:2:4")
     assert len(hc) == 96
     a, b = hc[i], hc[j]
-    # compose and inverse build new Automorphisms, so each is re-certified
+    # compose and inverse are certified by closure: both sides are
+    # automorphisms of hc, so their product and inverses are too
     c = a.compose(b)
     assert c in hc
     assert c.perm == tuple(b.perm[x] for x in a.perm)

@@ -1,7 +1,9 @@
 """The toolkit stays standard-library only: no declared or imported dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,32 @@ def test_package_imports_only_stdlib_or_itself():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_import_adds_only_the_known_stdlib_modules():
+    # every benchmark workload times this import as setup_s, so a new
+    # import-time dependency shows here first
+    code = (
+        "import sys; base = set(sys.modules); import suzuki2.cli, suzuki2.verify; "
+        "print(*(m for m in set(sys.modules) - base if m.split('.')[0] != 'suzuki2'))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert set(out.split()) == {
+        "argparse",
+        "gettext",
+        "hashlib",
+        "_hashlib",
+        "_blake2",
+        "json",
+        "json.decoder",
+        "json.encoder",
+        "json.scanner",
+        "_json",
+    }
