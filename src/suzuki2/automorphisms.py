@@ -45,7 +45,15 @@ from .errors import (
     Unsupported,
 )
 from .linalg import GF2, Matrix, point_matrix, wedge_pairs
-from .permgrp import StabChain, compose, invert, orbits, perm_order, validate_permutation
+from .permgrp import (
+    StabChain,
+    compose,
+    extend_transversal,
+    invert,
+    orbits,
+    perm_order,
+    validate_permutation,
+)
 
 
 def _pairs_witness(mul_src, mul_dst, maps):
@@ -481,20 +489,21 @@ def brute_force_aut(group):
     compose(s, alpha_c) is injective, so nothing is listed twice.
 
     Transversals: the proof needs only some t_c in A_k with t_c(g_k) = c,
-    not the first hit alpha_c. So level k keeps trans, c -> t_c, for the
-    points of the orbit of g_k reached so far, starting from g_k -> 1.
-    alphas holds every map the search has returned, at this level and
-    the deeper ones; a level-j map lies in A_j, and A_j is inside A_k for
-    j >= k. _close_orbit gives each new point e = a(d), a in alphas, the
-    product t_e = compose(t_d, a), a product of maps in A_k, so t_e is in
-    A_k and sends g_k to a(t_d(g_k)) = a(d) = e. A candidate found in
-    trans takes t_c as its representative and skips the search; any other
-    candidate runs the search, and each map it returns joins alphas and
-    re-closes the orbit. The coset compose(A_(k+1), t_c) is the set of
-    all maps of A_k sending g_k to c, whichever t_c represents it, so
-    sorting it gives the same list as sorting compose(A_(k+1), alpha_c),
-    and the output does not depend on the choice. trans is dropped when
-    its level ends.
+    not the first hit alpha_c. alphas holds every map the search has
+    returned, at this level and the deeper ones; a level-j map lies in
+    A_j, and A_j is inside A_k for j >= k. Level k keeps trans, c -> w_c,
+    the inverse transversal that permgrp.extend_transversal grows from
+    g_k -> 1 over the orbit of g_k under alphas: a new point e = a(d)
+    gets w_e = compose(a^-1, w_d), so t_e = invert(w_e) = compose(t_d, a)
+    is in A_k and sends g_k to a(t_d(g_k)) = a(d) = e. A candidate c
+    found in trans takes t_c = invert(w_c) as its representative and
+    skips the search; any other candidate runs the search, and each map
+    it returns joins alphas, its inverse joins inverses, and the orbit
+    is re-closed. The coset compose(A_(k+1), t_c) is the set of all maps
+    of A_k sending g_k to c, whichever t_c represents it, so sorting it
+    gives the same list as sorting compose(A_(k+1), alpha_c), and the
+    output does not depend on the choice. trans is dropped when its
+    level ends.
 
     Order: the exhaustive tree search over the candidate lists emits its
     automorphisms in lexicographic order of the generator image tuples.
@@ -505,11 +514,12 @@ def brute_force_aut(group):
     Certificates: each map _first_extension returns passes the
     Automorphism constructor before it joins alphas, and nothing else is
     checked. The rest follows by closure: the identity, which starts
-    below and every trans, is an automorphism; each t_c is the identity
-    or a product of alphas, by _close_orbit; each level's maps are
-    products compose(s, t_c) of lower-level maps s and a t_c; and a
-    product of bijective homomorphisms that fix 0 is a bijective
-    homomorphism that fixes 0. So every listed map is an automorphism,
+    below and every trans, is an automorphism; each w_c is the identity
+    or a product of inverses of alphas, so t_c = invert(w_c) is the
+    identity or a product of alphas; each level's maps are products
+    compose(s, t_c) of lower-level maps s and a t_c; and products and
+    inverses of bijective homomorphisms that fix 0 are bijective
+    homomorphisms that fix 0. So every listed map is an automorphism,
     and Automorphism._product wraps it without a second check. The
     intermediate levels are raw permutations that only feed those
     products.
@@ -520,38 +530,24 @@ def brute_force_aut(group):
     identity = tuple(range(group.n))
     below = [identity]
     alphas = []
+    inverses = []
     for k in reversed(range(len(gens))):
         fixed = [[g] for g in gens[:k]]
         trans = {gens[k]: identity}
         level = []
         for c in cands[k]:
-            t = trans.get(c)
-            if t is None:
+            if c in trans:
+                t = invert(trans[c])
+            else:
                 t = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
                 if t is None:
                     continue
                 alphas.append(Automorphism(group, t, "bruteforce").perm)
-                _close_orbit(trans, alphas)
+                inverses.append(invert(t))
+                extend_transversal(trans, alphas, inverses)
             level += sorted((compose(s, t) for s in below), key=itemgetter(*gens))
         below = level
     return [Automorphism._product(group, perm, "bruteforce") for perm in below]
-
-
-def _close_orbit(trans, perms):
-    """Extend the transversal trans to the orbit of its points under perms.
-
-    trans maps a point d to a permutation sending the level's generator
-    to d; each new point e = a[d] gets compose(trans[d], a), which sends
-    the generator to d and then to e.
-    """
-    queue = list(trans)
-    for d in queue:
-        t = trans[d]
-        for a in perms:
-            e = a[d]
-            if e not in trans:
-                trans[e] = compose(t, a)
-                queue.append(e)
 
 
 def is_at_group(group, auts):

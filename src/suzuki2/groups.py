@@ -73,19 +73,19 @@ class FiniteGroup:
                 for row_a in mul:
                     if left(row_a) != mul[row_a[g]]:
                         raise NotAGroup(f"associativity fails through generator {g}")
-        seen = set()
-        frontier = [0]
-        seen.add(0)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = mul[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != n:
+        # the orbit of 0 under right multiplication by the generators, in
+        # the list-as-queue form of permgrp's walk, which this layer sits below
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        for x in reached:
+            row = mul[x]
+            for g in self.gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+        if len(reached) != n:
             raise NotAGroup("generators do not generate")
 
     @property

@@ -6,6 +6,11 @@ the whole data, so no wrapper class). Composition applies the left
 factor first, compose(p, q)(x) = q(p(x)), matching the row-vector
 convention of the matrix actions that feed this module.
 
+Every orbit in the package comes from one of two breadth-first walks,
+both with the point list as its own queue: _walk marks points in a
+bytearray (orbit and orbits), and extend_transversal also keeps an
+inverse word per point (StabChain and automorphisms.brute_force_aut).
+
 Stabilizer chains are built by a deterministic Schreier-Sims: base
 points are always the smallest point moved by the permutation that
 forces them, orbits grow in BFS insertion order, and transversals are
@@ -75,25 +80,7 @@ def orbit(gens, start, npoints=None):
     """Closure of {start} under the generators, in BFS order."""
     for g in gens:
         validate_permutation(g, npoints)
-    return _orbit(gens, start)
-
-
-def _orbit(gens, start):
-    """orbit() on generators the caller has already validated."""
-    out = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for g in gens:
-                img = g[pt]
-                if img not in seen:
-                    seen.add(img)
-                    out.append(img)
-                    nxt.append(img)
-        frontier = nxt
-    return out
+    return _walk(gens, start, bytearray(len(gens[0]) if gens else start + 1))
 
 
 def orbits(gens, npoints):
@@ -101,22 +88,44 @@ def orbits(gens, npoints):
     for g in gens:
         validate_permutation(g, npoints)
     seen = bytearray(npoints)
-    parts = []
-    for start in range(npoints):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        part = [start]
-        # the list is its own BFS queue: points are expanded in the order
-        # they were reached, which is _orbit's level-by-level order
-        for pt in part:
-            for g in gens:
-                img = g[pt]
-                if not seen[img]:
-                    seen[img] = 1
-                    part.append(img)
-        parts.append(part)
-    return parts
+    return [_walk(gens, start, seen) for start in range(npoints) if not seen[start]]
+
+
+def _walk(gens, start, seen):
+    """The orbit of start in BFS order, marking its points in seen.
+
+    The list is its own queue: points are expanded in the order they
+    were reached, which is the level-by-level order.
+    """
+    seen[start] = 1
+    part = [start]
+    for pt in part:
+        for g in gens:
+            img = g[pt]
+            if not seen[img]:
+                seen[img] = 1
+                part.append(img)
+    return part
+
+
+def extend_transversal(trans, gens, inverses):
+    """Close the inverse transversal trans under gens, in BFS order.
+
+    trans maps each point c reached so far to a permutation w_c sending c
+    back to the root, the first key. Walking from c along s reaches
+    s[c], and w_{s[c]} = compose(s^-1, w_c) sends it to c and then to
+    the root. inverses[i] is gens[i]^-1. Existing points are walked
+    again, so trans may be extended as gens grows, and the insertion
+    order of trans stays the BFS order.
+    """
+    queue = list(trans)
+    for c in queue:
+        w = trans[c]
+        for s, s_inv in zip(gens, inverses):
+            img = s[c]
+            if img not in trans:
+                trans[img] = compose(s_inv, w)
+                queue.append(img)
 
 
 class StabChain:
@@ -124,10 +133,11 @@ class StabChain:
 
     trans[l] maps each point c of the level-l basic orbit to the inverse
     w_c = u_c^-1 of its transversal element u_c, where u_c sends base[l]
-    to c. Only inverses are stored, because every use needs them:
+    to c; its insertion order is the BFS order of the orbit. Only
+    inverses are stored, because every use needs them:
 
     - Extending the orbit from c along a strong generator s reaches c^s
-      with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c.
+      with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c (extend_transversal).
     - Stripping p at level l divides by the coset representative of
       base[l]^p, i.e. replaces p by p u^-1 = p w.
     - The Schreier generator of (b, s) is u_b s u_{b^s}^-1 = w_b^-1 (s w_{b^s}),
@@ -142,7 +152,7 @@ class StabChain:
     generator at b is not the identity.
     """
 
-    __slots__ = ("npoints", "gens", "base", "strong", "trans", "orbit_order", "_id")
+    __slots__ = ("npoints", "gens", "base", "strong", "trans", "_id")
 
     def __init__(self, gens, npoints=None):
         gens = [tuple(g) for g in gens]
@@ -160,7 +170,6 @@ class StabChain:
         self.base = []
         self.strong = []
         self.trans = []
-        self.orbit_order = []
         seeds = [g for g in gens if g != self._id]
         for g in seeds:
             if all(g[b] == b for b in self.base):
@@ -181,30 +190,7 @@ class StabChain:
     def _new_level(self, point):
         self.base.append(point)
         self.strong.append([])
-        self.trans.append({})
-        self.orbit_order.append([])
-
-    def _extend_orbit(self, level):
-        b = self.base[level]
-        trans = self.trans[level]
-        order = self.orbit_order[level]
-        if b not in trans:
-            trans[b] = self._id
-            order.append(b)
-        gens = self.strong[level]
-        inverses = [invert(s) for s in gens]
-        frontier = list(order)
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                w = trans[pt]
-                for s, s_inv in zip(gens, inverses):
-                    img = s[pt]
-                    if img not in trans:
-                        trans[img] = compose(s_inv, w)
-                        order.append(img)
-                        nxt.append(img)
-            frontier = nxt
+        self.trans.append({point: self._id})
 
     def _strip(self, p, level):
         for l in range(level, len(self.base)):
@@ -216,12 +202,13 @@ class StabChain:
 
     def _complete(self, level):
         """Make the chain below this level absorb all its Schreier generators."""
-        self._extend_orbit(level)
+        gens = self.strong[level]
         trans = self.trans[level]
-        for b in list(self.orbit_order[level]):
+        extend_transversal(trans, gens, [invert(s) for s in gens])
+        for b in list(trans):
             w = trans[b]
             u = None
-            for s in self.strong[level]:
+            for s in gens:
                 h = compose(s, trans[s[b]])
                 if h == w:
                     continue
@@ -260,8 +247,7 @@ def normal_closure(group_gens, seed_perms, npoints):
     closure_gens = []
     chain = StabChain([], npoints)
     queue = [tuple(p) for p in seed_perms if tuple(p) != ident]
-    while queue:
-        d = queue.pop(0)
+    for d in queue:
         if chain.contains(d):
             continue
         closure_gens.append(d)

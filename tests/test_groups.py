@@ -434,6 +434,15 @@ def test_light_test_covers_every_generator():
         FiniteGroup(loop, [1, 2])
 
 
+@pytest.mark.parametrize("gens", [(1,), ()])
+def test_generators_of_a_proper_subgroup_are_rejected(gens):
+    # Z2 x Z2 is a valid table, but (1,) reaches only {0, 1} and () only {0}
+    z2_squared = [[a ^ b for b in range(4)] for a in range(4)]
+    assert FiniteGroup(z2_squared, (1, 2)).order == 4
+    with pytest.raises(NotAGroup, match="do not generate"):
+        FiniteGroup(z2_squared, gens)
+
+
 def test_associativity_exhaustive_equivalence_small():
     # Light's test over generators agrees with the cubic check on Q16
     g = build_q16()

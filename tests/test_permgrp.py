@@ -259,7 +259,7 @@ def test_chain_deterministic_rebuild():
     a = StabChain(sl32_gens())
     b = StabChain(sl32_gens())
     assert a.base == b.base
-    assert a.orbit_order == b.orbit_order
+    assert [list(t) for t in a.trans] == [list(t) for t in b.trans]
     assert [sorted(t) for t in a.trans] == [sorted(t) for t in b.trans]
 
 
@@ -434,6 +434,19 @@ def test_chain_transversals_hold_inverses():
             for c, w in trans.items():
                 assert w[c] == b
                 assert chain.contains(w)
+
+
+def test_transversal_walk_and_plain_walk_agree():
+    # both walks expand points in the order they were reached; a level
+    # extended again as strong generators arrive may differ from one
+    # fresh walk in general, but on these chains it does not, so a change
+    # to either walk's order shows here
+    for gens in (sl32_gens(), gl1_8_gens(), s4_gens()):
+        chain = StabChain(gens)
+        for l, b in enumerate(chain.base):
+            assert list(chain.trans[l]) == orbit(chain.strong[l], b)
+        for part in orbits(gens, len(gens[0])):
+            assert part == orbit(gens, part[0])
 
 
 def test_orbits_validate_every_generator():

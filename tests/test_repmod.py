@@ -24,7 +24,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace
-from suzuki2.permgrp import _orbit
+from suzuki2.permgrp import orbit
 from suzuki2.repmod import (
     UNKNOWN,
     GModule,
@@ -265,8 +265,7 @@ def _orbit_span(module, orb):
 
 
 def _oracle_span(module, perms, p):
-    # the callers have validated perms, as orbits() does once for all orbits
-    return _orbit_span(module, _orbit(perms, p))
+    return _orbit_span(module, orbit(perms, p))
 
 
 # every shipped sporadic and catalog module, and natural + dual of SL2
