@@ -138,21 +138,35 @@ class StabChain:
 
     - Extending the orbit from c along a strong generator s reaches c^s
       with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c (extend_transversal).
+      inverses[l][i] is strong[l][i]^-1, inverted once when the
+      generator joins the chain.
     - Stripping p at level l divides by the coset representative of
       base[l]^p, i.e. replaces p by p u^-1 = p w.
-    - The Schreier generator of (b, s) is u_b s u_{b^s}^-1 = w_b^-1 (s w_{b^s}),
-      and it is the identity exactly when s w_{b^s} = w_b, which needs no
-      inverse. Each w is the inverse of the u a forward transversal would
-      hold, so the same generators reach _strip in the same order and the
-      chain (base, orbits, strong generators) is the one forward
-      transversals build.
+    - The Schreier generator of (b, s) is sigma = u_b s u_{b^s}^-1 =
+      w_b^-1 q with q = s w_{b^s}, and it is the identity exactly when
+      q = w_b.
 
-    Keeping both directions would double the memory of a chain, so _complete
-    inverts w_b at most once per orbit point, and only when some Schreier
-    generator at b is not the identity.
+    Sifting q instead of sigma. Stripping multiplies on the right only,
+    so stripping sigma = w_b^-1 q through levels l, l+1, ... yields
+    w_b^-1 q t_l t_{l+1} ..., where the t are the transversal words
+    chosen by the base images of the running product. The base image of
+    w_b^-1 x at beta is x(w_b^-1(beta)) = x[w_b.index(beta)], so _strip
+    reads the images of sigma's running product off q's running product
+    without forming sigma: the same t are chosen, the strip stops at the
+    same level, and the residue is w_b^-1 q'. It is the identity exactly
+    when q' = w_b, and w_b is inverted only to form a residue that
+    joins the strong generators. The sifted generators, their order and
+    their residues are those of stripping sigma, so the chain (base,
+    orbits in BFS order, strong generators) is the one forward
+    transversals build.
+
+    add(g) strips g from level 0 and absorbs the residue by the same
+    code, so a chain grown generator by generator describes the group
+    its gens generate, as one built from all of them at once does; its
+    base and transversals may differ from that chain's.
     """
 
-    __slots__ = ("npoints", "gens", "base", "strong", "trans", "_id")
+    __slots__ = ("npoints", "gens", "base", "strong", "inverses", "trans", "_id")
 
     def __init__(self, gens, npoints=None):
         gens = [tuple(g) for g in gens]
@@ -169,15 +183,18 @@ class StabChain:
         self._id = identity_perm(npoints)
         self.base = []
         self.strong = []
+        self.inverses = []
         self.trans = []
         seeds = [g for g in gens if g != self._id]
         for g in seeds:
             if all(g[b] == b for b in self.base):
                 self._new_level(self._smallest_moved(g))
-        for level in range(len(self.base)):
-            self.strong[level] = [
-                g for g in seeds if all(g[b] == b for b in self.base[:level])
-            ]
+        for g, g_inv in zip(seeds, map(invert, seeds)):
+            for level in range(len(self.base)):
+                if any(g[b] != b for b in self.base[:level]):
+                    break
+                self.strong[level].append(g)
+                self.inverses[level].append(g_inv)
         for level in range(len(self.base) - 1, -1, -1):
             self._complete(level)
 
@@ -190,39 +207,66 @@ class StabChain:
     def _new_level(self, point):
         self.base.append(point)
         self.strong.append([])
+        self.inverses.append([])
         self.trans.append({point: self._id})
 
-    def _strip(self, p, level):
-        for l in range(level, len(self.base)):
-            w = self.trans[l].get(p[self.base[l]])
-            if w is None:
+    def _strip(self, p, level, w=None):
+        """Strip p, or w^-1 p without forming it, from this level down.
+
+        Returns (p', stuck): the residue is p' (or w^-1 p'), and stuck is
+        the level whose orbit misses its base image, or len(base).
+        """
+        base, trans = self.base, self.trans
+        for l in range(level, len(base)):
+            b = base[l]
+            t = trans[l].get(p[b] if w is None else p[w.index(b)])
+            if t is None:
                 return p, l
-            p = compose(p, w)
-        return p, len(self.base)
+            p = compose(p, t)
+        return p, len(base)
+
+    def _absorb(self, h, stuck, level):
+        """Add the non-identity residue h, stuck at level stuck, as a strong
+        generator of the levels below level, and complete them again."""
+        if stuck == len(self.base):
+            self._new_level(self._smallest_moved(h))
+        h_inv = invert(h)
+        for l in range(level + 1, stuck + 1):
+            self.strong[l].append(h)
+            self.inverses[l].append(h_inv)
+        for l in range(stuck, level, -1):
+            self._complete(l)
 
     def _complete(self, level):
         """Make the chain below this level absorb all its Schreier generators."""
         gens = self.strong[level]
         trans = self.trans[level]
-        extend_transversal(trans, gens, [invert(s) for s in gens])
+        extend_transversal(trans, gens, self.inverses[level])
         for b in list(trans):
             w = trans[b]
-            u = None
             for s in gens:
-                h = compose(s, trans[s[b]])
-                if h == w:
+                q = compose(s, trans[s[b]])
+                if q == w:
                     continue
-                if u is None:
-                    u = invert(w)
-                h, stuck = self._strip(compose(u, h), level + 1)
-                if h == self._id:
+                q, stuck = self._strip(q, level + 1, w)
+                if stuck == len(self.base) and q == w:
                     continue
-                if stuck == len(self.base):
-                    self._new_level(self._smallest_moved(h))
-                for l in range(level + 1, stuck + 1):
-                    self.strong[l].append(h)
-                for l in range(stuck, level, -1):
-                    self._complete(l)
+                self._absorb(compose(invert(w), q), stuck, level)
+
+    def add(self, g):
+        """Extend the group by g; False, changing nothing, if g is a member."""
+        g = tuple(g)
+        validate_permutation(g, self.npoints)
+        return self._add(g)
+
+    def _add(self, g):
+        """add() for a g known to be a permutation on npoints."""
+        h, stuck = self._strip(g, 0)
+        if h == self._id:
+            return False
+        self.gens += (g,)
+        self._absorb(h, stuck, -1)
+        return True
 
     def order(self):
         n = 1
@@ -242,19 +286,28 @@ class StabChain:
 
 
 def normal_closure(group_gens, seed_perms, npoints):
-    """Generators and chain of the smallest normal subgroup containing seeds."""
-    ident = identity_perm(npoints)
-    closure_gens = []
+    """Generators and chain of the smallest normal subgroup containing seeds.
+
+    One chain grows by add() without its check: each seed or conjugate
+    outside it joins the closure generators (chain.gens), and its
+    conjugates by the group generators are queued. The group generators
+    and the seeds are validated once, here; a queued conjugate g^-1 d g is
+    a product of validated permutations, so it is a permutation too.
+    """
+    group_gens = [tuple(g) for g in group_gens]
+    for g in group_gens:
+        validate_permutation(g, npoints)
+    inverses = [invert(g) for g in group_gens]
     chain = StabChain([], npoints)
+    ident = identity_perm(npoints)
     queue = [tuple(p) for p in seed_perms if tuple(p) != ident]
     for d in queue:
-        if chain.contains(d):
-            continue
-        closure_gens.append(d)
-        chain = StabChain(closure_gens, npoints)
-        for g in group_gens:
-            queue.append(compose(compose(invert(g), d), g))
-    return closure_gens, chain
+        validate_permutation(d, npoints)
+    for d in queue:
+        if chain._add(d):
+            for g, g_inv in zip(group_gens, inverses):
+                queue.append(compose(compose(g_inv, d), g))
+    return list(chain.gens), chain
 
 
 def derived_series(gens, npoints=None):
@@ -263,6 +316,13 @@ def derived_series(gens, npoints=None):
     Each term D' is a subgroup of the term D before it, so D' = D exactly
     when D' contains the generators of D: that test stops the series
     without building a chain of D only to read its order.
+
+    D' is the normal closure of the commutators [a, b] = a^-1 b^-1 a b of
+    D's generators, taken only for a listed before b: [a, a] = 1, and
+    [b, a] = [a, b]^-1 lies in any subgroup holding [a, b]. Over all
+    ordered pairs, in the same order, normal_closure would meet each
+    [b, a] after [a, b] and skip it as a member, so it returns the same
+    generators from these seeds alone.
     """
     if npoints is None:
         if not gens:
@@ -273,11 +333,10 @@ def derived_series(gens, npoints=None):
     while True:
         comms = []
         seen = set()
-        for a in current:
-            for b in current:
-                c = compose(
-                    compose(invert(a), invert(b)), compose(a, b)
-                )
+        inverses = [invert(a) for a in current]
+        for i, (a, a_inv) in enumerate(zip(current, inverses)):
+            for b, b_inv in zip(current[i + 1 :], inverses[i + 1 :]):
+                c = compose(compose(a_inv, b_inv), compose(a, b))
                 if c not in seen:
                     seen.add(c)
                     comms.append(c)

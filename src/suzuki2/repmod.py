@@ -213,7 +213,7 @@ def spin(module, vectors):
         for mat in mats:
             r = space.reduce(mat.apply(v))
             if any(r):
-                space = Subspace(ctx, list(space.basis) + [r], module.dim)
+                space = Subspace._of(ctx, space.basis + (r,), module.dim)
                 queue.append(r)
     return space
 
@@ -287,7 +287,7 @@ def _point_span(module, perms, p):
                 basis.append(v)
                 basis.sort(reverse=True)
                 queue.append(v)
-    return Subspace(ctx, [_unpack(n, d, b) for b in basis], d)
+    return Subspace._of(ctx, [_unpack(n, d, b) for b in basis], d)
 
 
 def is_irreducible(module):

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from suzuki2 import permgrp
-from suzuki2.catalog import entry_gamma_l1, entry_sl, sl_natural_module
+from suzuki2.catalog import (
+    SPORADICS,
+    entry_gamma_l1,
+    entry_path,
+    entry_sl,
+    load_entry,
+    sl_natural_module,
+)
 from suzuki2.errors import BadShape, NotBijective, NotFound
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix
@@ -13,6 +20,7 @@ from suzuki2.permgrp import (
     StabChain,
     compose,
     derived_series,
+    extend_transversal,
     identity_perm,
     invert,
     is_solvable,
@@ -353,6 +361,18 @@ def test_normal_closure_inside_s4():
     assert schain.order() == 24
 
 
+def test_normal_closure_validates_every_seed():
+    gens = s4_gens()
+    # -4 indexes like 0, so this seed strips like the transposition
+    # (1, 0, 2, 3), a member of S4; only validation rejects it
+    with pytest.raises(NotBijective):
+        normal_closure(gens, [(1, 0, 2, 3), (1, -4, 2, 3)], 4)
+    with pytest.raises(BadShape):
+        normal_closure(gens, [(1, 0, 2)], 4)
+    with pytest.raises(NotBijective):
+        normal_closure([(0, 0, 1, 2)], [(1, 0, 2, 3)], 4)
+
+
 def test_random_search_trivial_target():
     p, q = random_subgroup_search(s4_gens(), 1, None, seed=7)
     assert p == q == identity_perm(4)
@@ -460,3 +480,162 @@ def test_orbits_validate_every_generator():
         with pytest.raises(BadShape):
             orbits(gens, 5)
     assert orbits([good, good], 5) == [[0, 1], [2, 3], [4]]
+
+
+class InvertPerPointChain(StabChain):
+    """Oracle: the chain built by inverting w_b once per orbit point.
+
+    Each Schreier generator is formed as compose(w_b^-1, q) and stripped
+    as it is, without the sifted-q shortcut, without inverses kept per
+    strong generator and without skipping pairs sifted before.
+    """
+
+    __slots__ = ()
+
+    def _strip(self, p, level, w=None):
+        assert w is None
+        for l in range(level, len(self.base)):
+            t = self.trans[l].get(p[self.base[l]])
+            if t is None:
+                return p, l
+            p = compose(p, t)
+        return p, len(self.base)
+
+    def _complete(self, level):
+        gens = self.strong[level]
+        trans = self.trans[level]
+        # permgrp.invert, so that a count of its calls sees these too
+        extend_transversal(trans, gens, [permgrp.invert(s) for s in gens])
+        for b in list(trans):
+            w = trans[b]
+            u = None
+            for s in gens:
+                h = compose(s, trans[s[b]])
+                if h == w:
+                    continue
+                if u is None:
+                    u = permgrp.invert(w)
+                h, stuck = self._strip(compose(u, h), level + 1)
+                if h == self._id:
+                    continue
+                if stuck == len(self.base):
+                    self._new_level(self._smallest_moved(h))
+                for l in range(level + 1, stuck + 1):
+                    self.strong[l].append(h)
+                for l in range(stuck, level, -1):
+                    self._complete(l)
+
+
+def rebuild_normal_closure(group_gens, seed_perms, npoints):
+    """Oracle: normal closure that rebuilds the chain for every new generator."""
+    ident = identity_perm(npoints)
+    closure_gens = []
+    chain = InvertPerPointChain([], npoints)
+    queue = [tuple(p) for p in seed_perms if tuple(p) != ident]
+    for d in queue:
+        if chain.contains(d):
+            continue
+        closure_gens.append(d)
+        chain = InvertPerPointChain(closure_gens, npoints)
+        for g in group_gens:
+            queue.append(compose(compose(invert(g), d), g))
+    return closure_gens, chain
+
+
+def chain_data(chain):
+    return chain.base, chain.strong, [list(t.items()) for t in chain.trans]
+
+
+def commutators(gens):
+    out = []
+    for a in gens:
+        for b in gens:
+            c = compose(compose(invert(a), invert(b)), compose(a, b))
+            if c not in out:
+                out.append(c)
+    return out
+
+
+ENTRY_PERMS = {
+    "sl:4:1": lambda: entry_sl(4, 1).point_perms(),
+    "sl:2:5": lambda: entry_sl(2, 5).point_perms(),
+    "gamma_l1:10": lambda: entry_gamma_l1(10).point_perms(),
+    **{name: lambda name=name: load_entry(entry_path(name)).point_perms() for name in SPORADICS},
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_PERMS)
+def test_chain_and_normal_closure_match_the_invert_per_point_oracle(name):
+    perms = ENTRY_PERMS[name]()
+    npts = len(perms[0])
+    assert chain_data(StabChain(perms, npts)) == chain_data(InvertPerPointChain(perms, npts))
+    seeds = commutators(perms)
+    got_gens, got = normal_closure(perms, seeds, npts)
+    want_gens, want = rebuild_normal_closure(perms, seeds, npts)
+    assert got_gens == want_gens == list(got.gens)
+    assert got.order() == want.order()
+
+
+def test_random_chains_and_normal_closures_match_the_oracle():
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(2, 11)
+        gens = random_generators(rng, n)
+        assert chain_data(StabChain(gens, n)) == chain_data(InvertPerPointChain(gens, n)), gens
+        seeds = random_generators(rng, n)
+        got_gens, got = normal_closure(gens, seeds, n)
+        want_gens, want = rebuild_normal_closure(gens, seeds, n)
+        assert got_gens == want_gens, (gens, seeds)
+        assert got.order() == want.order(), (gens, seeds)
+        for d in want_gens:
+            assert got.contains(d)
+
+
+def test_add_grows_a_chain_to_the_generated_group():
+    gens = sl32_gens()
+    chain = StabChain([], 7)
+    assert chain.add(gens[0]) is True
+    assert chain.order() == 2
+    assert chain.add(gens[0]) is False
+    assert chain.add(gens[1]) is True
+    assert chain.order() == 168 and chain.gens == tuple(gens)
+    assert chain.add(compose(gens[0], gens[1])) is False
+    assert chain.gens == tuple(gens)
+    with pytest.raises(NotBijective):
+        chain.add((0, 0, 1, 2, 3, 4, 5))
+    with pytest.raises(BadShape):
+        chain.add((1, 0))
+
+
+def count_inverts(monkeypatch, build):
+    calls = []
+    real = permgrp.invert
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(permgrp, "invert", counting)
+    chain = build()
+    monkeypatch.undo()
+    return chain, len(calls)
+
+
+def test_sl2_32_chain_inverts_once_per_strong_generator_and_residue(monkeypatch):
+    perms = entry_sl(2, 5).point_perms()
+    seeds = [g for g in perms if g != identity_perm(len(g))]
+
+    def allowed(chain):
+        strong = []
+        for level in chain.strong:
+            strong += [g for g in level if g not in strong]
+        residues = [g for g in strong if g not in seeds]
+        return len(strong) + len(residues)
+
+    chain, calls = count_inverts(monkeypatch, lambda: StabChain(perms))
+    assert calls <= allowed(chain)
+    # the oracle inverts w_b once per orbit point that has a nontrivial
+    # Schreier generator, which this bound rejects
+    oracle, oracle_calls = count_inverts(monkeypatch, lambda: InvertPerPointChain(perms))
+    assert chain_data(oracle) == chain_data(chain)
+    assert oracle_calls > allowed(oracle)

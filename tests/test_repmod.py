@@ -24,7 +24,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace
-from suzuki2.permgrp import orbit
+from suzuki2.permgrp import _walk, validate_permutation
 from suzuki2.repmod import (
     UNKNOWN,
     GModule,
@@ -265,7 +265,10 @@ def _orbit_span(module, orb):
 
 
 def _oracle_span(module, perms, p):
-    return _orbit_span(module, orbit(perms, p))
+    # the lattice and irreducibility code hand over the point permutations
+    # that orbits() validated, and the test validates each module's once,
+    # so the orbit is walked without validating them again per orbit
+    return _orbit_span(module, _walk(perms, p, bytearray(len(perms[0]))))
 
 
 # every shipped sporadic and catalog module, and natural + dual of SL2
@@ -297,6 +300,10 @@ def test_point_spans_match_the_orbit_oracle(spec, monkeypatch):
     if module.ctx.n * module.dim * (module.dim - 1) // 2 <= 16:
         modules.append(exterior_square(module))
     packed = [(submodule_lattice(m).members, is_irreducible(m)) for m in modules]
+    for m in modules:
+        perms = point_permutations(m)
+        for g in perms:
+            validate_permutation(g, 1 << (m.ctx.n * m.dim))
     monkeypatch.setattr(repmod, "_point_span", _oracle_span)
     assert [(submodule_lattice(m).members, is_irreducible(m)) for m in modules] == packed
 
