@@ -90,6 +90,16 @@ def _certificate_witness(mul_src, mul_dst, maps, gens):
     return -1
 
 
+def _certify(src, dst, maps):
+    """Raise NotAHomomorphism unless maps respects the product, naming the
+    witness from _certificate_witness by its label, or by its id when src
+    has no labels."""
+    g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
+    if g >= 0:
+        name = g if src.labels is None else src.labels[g]
+        raise NotAHomomorphism(f"product not respected at element {name!r}")
+
+
 class Automorphism:
     """A permutation of element ids certified to respect the product."""
 
@@ -100,11 +110,7 @@ class Automorphism:
         validate_permutation(perm, group.n)
         if perm[0] != 0:
             raise NotAHomomorphism("identity is not fixed")
-        g = _certificate_witness(group.mul, group.mul, perm, group.gens)
-        if g >= 0:
-            raise NotAHomomorphism(
-                f"product not respected at element {group.labels[g]!r}"
-            )
+        _certify(group, group, perm)
         self.group = group
         self.perm = perm
         self.source = source
@@ -630,9 +636,7 @@ def isomorphism_from_labels(src, dst, fn):
     maps = _label_perm(src, fn, dst)
     if len(set(maps)) != src.n:
         raise NotBijective("two elements share an image")
-    g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
-    if g >= 0:
-        raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")
+    _certify(src, dst, maps)
     return tuple(maps)
 
 
@@ -641,7 +645,7 @@ def find_isomorphism(src, dst):
 
     Same bounds and pruned search as brute_force_aut; the first total
     injective map in candidate order is a bijection because the orders
-    match. Returns the id map, certified by _certificate_witness, or
+    match. Returns the id map, certified by _certify, or
     raises NotFound.
     """
     cands = _image_candidates(src, dst)
@@ -650,7 +654,5 @@ def find_isomorphism(src, dst):
     maps = _first_extension(src.mul, dst.mul, list(src.gens), cands)
     if maps is None:
         raise NotFound("no isomorphism over the candidate images")
-    g = _certificate_witness(src.mul, dst.mul, maps, src.gens)
-    if g >= 0:
-        raise NotAHomomorphism(f"product not respected at {src.labels[g]!r}")
+    _certify(src, dst, maps)
     return maps

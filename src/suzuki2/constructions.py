@@ -129,12 +129,12 @@ def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
 
 def build_a2(n, k):
     """Exponent-4 group of order 2^(2n) twisted by theta = x -> x^(2^k)."""
+    ctx = FieldContext(n)
     order_theta = theta_order(n, k)
     if order_theta == 1 or order_theta % 2 == 0:
         raise BadTheta(
             f"theta order {order_theta} must be odd and larger than 1"
         )
-    ctx = FieldContext(n)
     mul = ctx.mul
     frob = [ctx.frobenius(x, k) for x in range(ctx.size)]
     return _cocycle_group(

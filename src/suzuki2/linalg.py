@@ -15,7 +15,7 @@ larger fields entries are kept per-cell. Semantics are identical. A row
 is packed and unpacked in C (bytes.translate with int() and format()),
 about 4x and 10x faster than loops over the bits of a 1,000-bit row, and
 kernel, solve and inverse pack each row once, with the identity block
-as its high bits (_gf2_augmented). decompose_lemma22 on the natural
+as its high bits (Matrix._augmented). decompose_lemma22 on the natural
 SL2(8) module took 0.18-0.21 s with this, against 0.23-0.28 s with
 bit-by-bit conversion and a list identity block (min of 5 runs in each
 of 4 alternating pairs, 2 vCPU, CPython 3.11.7).
@@ -194,17 +194,12 @@ class Matrix:
     def kernel(self):
         """Canonical basis of the left kernel {v : v*A = 0} as a Matrix."""
         n, m = self.nrows, self.ncols
+        red, pivots = self._augmented()
         if self.ctx.n == 1:
-            masks, pivots = self._gf2_augmented()
-            basis, _ = _rref_gf2([mask >> m for mask in masks[len(pivots) :]], n)
+            basis, _ = _rref_gf2([mask >> m for mask in red[len(pivots) :]], n)
             return Matrix._of(self.ctx, [_unpack(mask, n) for mask in basis])
-        aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
-        red, _ = _rref_rows(self.ctx, aug, m + n, stop_col=m)
-        basis = [row[m:] for row in red if not any(row[:m])]
-        if not basis:
-            return Matrix.zeros(self.ctx, 0, n)
-        bas, _ = _rref_rows(self.ctx, basis, n)
-        return Matrix._of(self.ctx, bas)
+        basis, _ = _rref_rows(self.ctx, [row[m:] for row in red[len(pivots) :]], n)
+        return Matrix._of(self.ctx, basis)
 
     def solve(self, b):
         """Some v with v*A = b, else NoSolution.
@@ -218,17 +213,15 @@ class Matrix:
         if len(b) != self.ncols:
             raise BadShape("rhs length mismatch")
         n, m = self.nrows, self.ncols
+        red, pivots = self._augmented()
         if self.ctx.n == 1:
-            masks, pivots = self._gf2_augmented()
             acc = _pack(b)
-            for mask, p in zip(masks, pivots):
+            for mask, p in zip(red, pivots):
                 if acc >> p & 1:
                     acc ^= mask
             if acc & ((1 << m) - 1):
                 raise NoSolution("inconsistent linear system")
             return _unpack(acc >> m, n)
-        aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
-        red, pivots = _rref_rows(self.ctx, aug, m + n, stop_col=m)
         mul = self.ctx.mul
         rem = list(b)
         comb = [0] * n
@@ -249,32 +242,29 @@ class Matrix:
         if self.nrows != self.ncols:
             raise BadShape("inverse of a non-square matrix")
         n = self.nrows
-        if self.ctx.n == 1:
-            masks, pivots = self._gf2_augmented()
-            if len(pivots) < n:
-                raise SingularMatrix(f"rank {len(pivots)} < {n}")
-            return Matrix._of(self.ctx, [_unpack(mask >> n, n) for mask in masks])
-        aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
-        red, pivots = _rref_rows(self.ctx, aug, 2 * n, stop_col=n)
+        red, pivots = self._augmented()
         if len(pivots) < n:
             raise SingularMatrix(f"rank {len(pivots)} < {n}")
+        if self.ctx.n == 1:
+            return Matrix._of(self.ctx, [_unpack(mask >> n, n) for mask in red])
         return Matrix._of(self.ctx, [row[n:] for row in red])
 
-    def _gf2_augmented(self):
-        """[A | I] over GF(2) in reduced echelon form, pivots among A's columns.
+    def _augmented(self):
+        """[A | I] in reduced echelon form, pivots among A's columns.
 
-        Row i is packed once, with the identity block as its high bits:
-        mask_i = pack(A_i) | 1 << (ncols + i). _rref_gf2 only XORs whole
-        masks, so every mask stays (c A) | c << ncols for the coefficient
-        vector c of the rows summed into it. This is the list path's
-        [A | I] elimination bit for bit, so kernel, solve and inverse read
-        the same rows off it: the masks past the rank have c A = 0 (a set
-        bit below ncols in one of them would have been a pivot), and
-        their high parts are a basis of the left kernel; the high parts
-        of a full-rank square A are the rows of its inverse.
+        Every row is (c A | c) for the coefficient vector c of the rows
+        summed into it. Over GF(2) rows are masks, row i packed once as
+        pack(A_i) | 1 << (ncols + i), and _rref_gf2 only XORs whole masks,
+        so c sits in the high bits. The rows past the rank have c A = 0 (a
+        nonzero entry below ncols would have been a pivot) and their c are
+        a basis of the left kernel; the c of a full-rank square A are the
+        rows of its inverse.
         """
-        m = self.ncols
-        return _rref_gf2([_pack(r) | 1 << (m + i) for i, r in enumerate(self.rows)], m)
+        m, n = self.ncols, self.nrows
+        if self.ctx.n == 1:
+            return _rref_gf2([_pack(r) | 1 << (m + i) for i, r in enumerate(self.rows)], m)
+        aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
+        return _rref_rows(self.ctx, aug, m + n, stop_col=m)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -371,6 +361,8 @@ def read_matrix(lines, start):
         if dims[0] != "dim":
             raise ValueError
         nrows, ncols = int(dims[1]), int(dims[2])
+        if nrows < 0 or ncols < 0:
+            raise ValueError
     except (ValueError, IndexError) as exc:
         raise BadFormat(f"bad matrix header near line {idx - start + 1}") from exc
     ctx = FieldContext(f, poly)

@@ -290,6 +290,17 @@ def _point_span(module, perms, p):
     return Subspace._of(ctx, [_unpack(n, d, b) for b in basis], d)
 
 
+def _cyclic_spans(module):
+    """The span of each nonzero point orbit, lazily: every cyclic submodule.
+
+    The orbit of point 0, the zero vector, comes first and is skipped.
+    point_permutations refuses spaces beyond 2^16 points.
+    """
+    perms = point_permutations(module)
+    for orb in orbits(perms, 1 << (module.ctx.n * module.dim))[1:]:
+        yield _point_span(module, perms, orb[0])
+
+
 def is_irreducible(module):
     """True iff every nonzero vector spins to the whole space.
 
@@ -302,13 +313,7 @@ def is_irreducible(module):
         return False
     ctx = module.ctx
     if ctx.n * d <= _POINT_BITS:
-        perms = point_permutations(module)
-        for orb in orbits(perms, 1 << (ctx.n * d)):
-            if orb[0] == 0:
-                continue
-            if _point_span(module, perms, orb[0]).dim < d:
-                return False
-        return True
+        return all(s.dim == d for s in _cyclic_spans(module))
     rng = random.Random(_SEED)
     for _ in range(_IRREDUCIBLE_TRIALS):
         v = [rng.randrange(ctx.size) for _ in range(d)]
@@ -372,17 +377,9 @@ def submodule_lattice(module):
     is a sum of cyclic ones, so the closure is the complete lattice (in
     particular it is intersection-closed for free).
     """
-    ctx = module.ctx
-    n, d = ctx.n, module.dim
-    if n * d > _POINT_BITS:
-        raise Unsupported(f"point space 2^{n * d} exceeds 2^{_POINT_BITS}")
-    perms = point_permutations(module)
-    members = [Subspace(ctx, [], d)]
+    members = [Subspace(module.ctx, [], module.dim)]
     index = {members[0]}
-    for orb in orbits(perms, 1 << (n * d)):
-        if orb[0] == 0:
-            continue
-        s = _point_span(module, perms, orb[0])
+    for s in _cyclic_spans(module):
         if s not in index:
             index.add(s)
             members.append(s)
@@ -432,15 +429,10 @@ def quotient_module(module, w):
     pivots = set(w.pivots)
     free = [c for c in range(module.dim) if c not in pivots]
     action = {}
-    for s in module.symbols:
-        mat = module.action[s]
-        rows = []
-        for c in free:
-            e = [0] * module.dim
-            e[c] = 1
-            r = w.reduce(mat.apply(e))
-            rows.append([r[k] for k in free])
-        action[s] = Matrix._of(ctx, rows)
+    for s, mat in module.action.items():
+        # the image of the unit vector e_c is row c of the matrix
+        reduced = [w.reduce(mat.rows[c]) for c in free]
+        action[s] = Matrix._of(ctx, [[r[k] for k in free] for r in reduced])
     return GModule(ctx, len(free), action)
 
 
@@ -492,10 +484,17 @@ def _combine(ctx, homs, coeffs):
 def is_isomorphic(m1, m2):
     """Three-valued: True, False, or UNKNOWN. Never a silent false.
 
-    When both sides are certified irreducible, any nonzero intertwiner
-    decides (Schur). Otherwise the Hom space is searched exhaustively up
-    to 2^20 combinations, then by seeded random trials; an exhausted
-    random search returns UNKNOWN.
+    The Hom space is searched exhaustively up to 2^20 combinations, then
+    by seeded random trials; an exhausted random search returns UNKNOWN.
+
+    No irreducibility test is needed first. If both modules are
+    irreducible and Hom is nonzero, Hom is isomorphic to End(m1), a finite
+    division algebra and so a field, of degree k = dim Hom over F = GF(q);
+    m1 is a vector space over it, so k <= dim m1 and, within 2^16 points,
+    q^k - 1 < q^dim <= 2^16 <= 2^20. The search is then exhaustive, and its
+    first nonzero tuple (0, ..., 0, 1) is homs[-1], a nonzero intertwiner
+    between irreducibles, hence invertible: the answer is True, as Schur's
+    lemma gives it.
     """
     _same_symbols(m1, m2)
     if m1.dim != m2.dim:
@@ -505,11 +504,6 @@ def is_isomorphic(m1, m2):
     homs = hom_space(m1, m2)
     if not homs:
         return False
-    # past 2^16 points is_irreducible refutes or raises Unsupported, so
-    # the shortcut can only fire when both modules are small
-    small = m1.ctx.n * m1.dim <= _POINT_BITS
-    if small and is_irreducible(m1) and is_irreducible(m2):
-        return homs[0].is_invertible()
     ctx = m1.ctx
     k = len(homs)
     if ctx.size**k - 1 <= _ENUM_BOUND:
@@ -559,40 +553,23 @@ def decompose_lemma22(u):
     reported, never patched.
     """
     f = u.ctx.n
-    v = restrict_scalars(u)
-    lam = exterior_square(v)
+    lam = exterior_square(restrict_scalars(u))
+    # (name, summand dim, target, doubled): a doubled summand is matched
+    # by the direct sum of two copies against its target
     a_target = restrict_scalars(exterior_square(u))
-    full_js = list(range(1, (f + 1) // 2))
-    b_targets = {j: restrict_scalars(tensor(u, twist(u, j))) for j in full_js}
-    half_target = None
-    if f > 1 and f % 2 == 0:
-        half_target = restrict_scalars(tensor(u, twist(u, f // 2)))
+    pieces = [("a", a_target.dim, a_target, False)]
+    for j in range(1, f // 2 + 1):
+        doubled = 2 * j == f
+        target = restrict_scalars(tensor(u, twist(u, j)))
+        pieces.append((f"b{j}", target.dim // 2 if doubled else target.dim, target, doubled))
 
     lattice = submodule_lattice(lam)
-
-    pieces = [("a", a_target.dim, lambda sub: is_isomorphic(sub, a_target))]
-    for j in full_js:
-        pieces.append(
-            (
-                f"b{j}",
-                b_targets[j].dim,
-                lambda sub, j=j: is_isomorphic(sub, b_targets[j]),
-            )
-        )
-    if half_target is not None:
-        pieces.append(
-            (
-                f"b{f // 2}",
-                half_target.dim // 2,
-                lambda sub: is_isomorphic(direct_sum(sub, sub), half_target),
-            )
-        )
-
     candidates = []
-    for _, dim_, test in pieces:
+    for _, dim_, target, doubled in pieces:
         found = []
         for w in lattice.of_dim(dim_):
-            if test(submodule_module(lam, w)) is True:
+            sub = submodule_module(lam, w)
+            if is_isomorphic(direct_sum(sub, sub) if doubled else sub, target) is True:
                 found.append(w)
         candidates.append(found)
 
@@ -614,9 +591,9 @@ def decompose_lemma22(u):
         "ambient_dim": lam.dim,
         "pieces": [
             {"name": name, "dim": dim_, "candidates": len(found), "space": w}
-            for (name, dim_, _), found, w in zip(pieces, candidates, picks)
+            for (name, dim_, _, _), found, w in zip(pieces, candidates, picks)
         ],
-        "summand_dims": [dim_ for _, dim_, _ in pieces],
+        "summand_dims": [piece[1] for piece in pieces],
         "passed": chosen is not None,
     }
 

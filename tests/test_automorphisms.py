@@ -61,8 +61,23 @@ def test_certificate_rejects_non_homomorphism():
     q8 = build_generalized_quaternion(8)
     perm = list(range(8))
     perm[6], perm[7] = perm[7], perm[6]
-    with pytest.raises(NotAHomomorphism):
+    # the witness is named by its label
+    with pytest.raises(NotAHomomorphism, match=r"at element \("):
         Automorphism(q8, perm)
+    with pytest.raises(NotAHomomorphism, match=r"at element \("):
+        isomorphism_from_labels(q8, q8, lambda lab: q8.labels[perm[q8.labels.index(lab)]])
+
+
+def test_certificates_name_the_witness_by_id_without_labels(monkeypatch):
+    # Z/4 as a bare table; swapping 1 and 2 breaks 1 + 1 = 2 at element 1
+    z4 = FiniteGroup([[(i + j) % 4 for j in range(4)] for i in range(4)], [1])
+    assert z4.labels is None
+    bad = (0, 2, 1, 3)
+    with pytest.raises(NotAHomomorphism, match="at element 1$"):
+        Automorphism(z4, bad)
+    monkeypatch.setattr(automorphisms, "_first_extension", lambda *args: bad)
+    with pytest.raises(NotAHomomorphism, match="at element 1$"):
+        find_isomorphism(z4, z4)
 
 
 def test_certificate_rejects_bad_shapes():

@@ -219,6 +219,8 @@ def test_load_entry_bad_format(tmp_path):
     attempt(good.replace("solvable=1", "solvable=2"))
     attempt(good.rsplit("expect", 1)[0])
     attempt(good + "field 1 poly=0x3\n")
+    attempt(good.replace("dim 2 2", "dim 2 -2", 1))
+    attempt(good.replace("dim 2 2", "dim -2 2", 1))
 
 
 def test_shipped_sporadics_verify():

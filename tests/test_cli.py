@@ -30,6 +30,14 @@ def test_construct_bad_theta(capsys):
     assert "theta" in err
 
 
+@pytest.mark.parametrize("command", ["construct", "fusion", "aut"])
+def test_degree_zero_family_is_an_error(capsys, command):
+    code, out, err = run(capsys, [command, "a2:0:1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "degree" in err
+
+
 def test_construct_unknown_family(capsys):
     code, _, err = run(capsys, ["construct", "zz:1"])
     assert code == 2
@@ -126,6 +134,16 @@ def test_module_iso_unknown_exit3(capsys, tmp_path):
     code, out, _ = run(capsys, ["module", "iso", str(p1), str(p2)])
     assert code == 3
     assert out == "unknown\n"
+
+
+@pytest.mark.parametrize("dims", ["1 -1", "-1 2"])
+def test_module_negative_dims_are_a_format_error(capsys, tmp_path, dims):
+    path = tmp_path / "neg.txt"
+    path.write_text(f"gen g0\nfield 1 poly=0x3\ndim {dims}\n1\n")
+    code, out, err = run(capsys, ["module", "info", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad matrix header" in err
 
 
 def test_module_unknown_op(capsys, tmp_path):

@@ -412,7 +412,8 @@ def test_is_isomorphic_basics():
     assert is_isomorphic(m, tensor(m, m)) is False
     zero = GModule(GF2, 0, {"c": Matrix(GF2, []), "t": Matrix(GF2, [])})
     assert is_isomorphic(zero, zero) is True
-    # conjugate action is isomorphic via the Schur shortcut
+    # a conjugate of the action is isomorphic: the Hom search finds the
+    # conjugating matrix, or another invertible intertwiner
     p = Matrix(GF2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     conj = GModule(
         GF2, 3,
@@ -446,8 +447,8 @@ def _companion(d, taps):
 
 
 def test_is_isomorphic_past_the_point_bound_skips_random_spins(monkeypatch):
-    # past 2^16 points is_irreducible can only refute or give up, so the
-    # Schur shortcut is not tried and no random spin runs
+    # past 2^16 points is_irreducible can only refute or give up; the Hom
+    # search alone decides, so no random spin runs
     def no_spin(*args, **kwargs):
         raise AssertionError("spin called")
 
@@ -463,6 +464,57 @@ def test_is_isomorphic_past_the_point_bound_skips_random_spins(monkeypatch):
     b = direct_sum(one, GModule(GF2, 16, {"g": _companion(16, [0, 1, 3, 12])}))
     assert len(hom_space(a, b)) == 1
     assert is_isomorphic(a, b) is False
+
+
+def test_is_isomorphic_never_tests_irreducibility(monkeypatch):
+    def no_irreducible(*args):
+        raise AssertionError("is_irreducible called")
+
+    monkeypatch.setattr(repmod, "is_irreducible", no_irreducible)
+    m = sl3_2()
+    assert is_isomorphic(exterior_square(m), dual(m)) is True
+    assert is_isomorphic(m, dual(m)) is False
+    u = sl2_4()
+    assert is_isomorphic(u, u) is True
+    assert is_isomorphic(u, twist(u, 1)) is False
+
+
+def _schur_rule(m1, m2):
+    """Test-local copy of the rule once tried before the Hom search when
+    both modules were irreducible: any nonzero intertwiner decides."""
+    if m1.dim != m2.dim:
+        return False
+    homs = hom_space(m1, m2)
+    return bool(homs) and homs[0].is_invertible()
+
+
+def _irreducible_modules():
+    m, u, v = sl3_2(), sl2_4(), sl3_4()
+    mods = [m, dual(m), exterior_square(m), extend_scalars(m, GF4)]
+    mods += [extend_scalars(dual(m), GF4), u, twist(u, 1), dual(u)]
+    mods += [tensor(u, twist(u, 1)), v, twist(v, 1), dual(v), exterior_square(v)]
+    mods += [twist(dual(v), 1)]
+    return [x for x in mods if is_irreducible(x)]
+
+
+def test_is_isomorphic_agrees_with_the_schur_rule_on_irreducibles():
+    mods = _irreducible_modules()
+    assert len(mods) == 14
+    verdicts = []
+    for m1 in mods:
+        for m2 in mods:
+            if m1.ctx == m2.ctx and m1.symbols == m2.symbols:
+                verdicts.append(is_isomorphic(m1, m2))
+                assert verdicts[-1] is _schur_rule(m1, m2)
+    # 3, 2, 4 and 5 modules share a field and generators with each other
+    assert len(verdicts) == 9 + 4 + 16 + 25
+    # classes {m}, {m*, wedge m}; two over GF(4); {u, u*}, {u^(2)},
+    # {u (x) u^(2)}; {v}, {v^(2)}, {v*, wedge v}, {v*^(2)}
+    assert verdicts.count(True) == (1 + 4) + 2 + (4 + 1 + 1) + (1 + 1 + 4 + 1)
+    # Galois twists over GF(4): the criterion of written_over_subfield
+    for mod in mods:
+        if mod.ctx == GF4:
+            assert written_over_subfield(mod, 1) is _schur_rule(mod, twist(mod, 1))
 
 
 def test_is_isomorphic_unknown_is_loud():
@@ -555,6 +607,9 @@ def test_serialization_rejects_bad_input():
         module_from_text(good + good)  # duplicate symbols
     with pytest.raises(BadFormat):
         module_from_text("gen x\nfield oops\n")
+    for dims in ("1 -1", "-1 2", "-1 -1"):
+        with pytest.raises(BadFormat, match="bad matrix header near line 1"):
+            module_from_text(f"gen g\nfield 1 poly=0x3\ndim {dims}\n1\n")
 
 
 def test_serialization_error_messages_count_lines_from_the_block():
