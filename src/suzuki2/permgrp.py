@@ -70,17 +70,34 @@ def perm_order(p):
 
 
 def validate_permutation(p, npoints=None):
+    """Raise unless p lists each of 0..len(p)-1 once (and has npoints entries).
+
+    The test is set(p) == set(range(len(p))): len(p) entries with that set
+    are that many distinct points. It is made as "len(p) distinct entries,
+    among them every point", since issuperset walks the range without
+    building a second set. Unlike sorting, it needs no order on the
+    entries.
+    """
     if npoints is not None and len(p) != npoints:
         raise BadShape(f"permutation on {len(p)} points, expected {npoints}")
-    if sorted(p) != list(range(len(p))):
+    images = set(p)
+    if len(images) != len(p) or not images.issuperset(range(len(p))):
         raise NotBijective("images are not a bijection")
 
 
 def orbit(gens, start, npoints=None):
-    """Closure of {start} under the generators, in BFS order."""
+    """Closure of {start} under the generators, in BFS order.
+
+    The points are 0..n-1, with n = npoints or the generators' length;
+    with neither, any start >= 0 is its own orbit.
+    """
+    if npoints is None and gens:
+        npoints = len(gens[0])
     for g in gens:
         validate_permutation(g, npoints)
-    return _walk(gens, start, bytearray(len(gens[0]) if gens else start + 1))
+    if start < 0 or (npoints is not None and start >= npoints):
+        raise BadShape(f"start point {start} outside the point range")
+    return _walk(gens, start, bytearray(npoints if npoints is not None else start + 1))
 
 
 def orbits(gens, npoints):
@@ -117,15 +134,22 @@ def extend_transversal(trans, gens, inverses):
     the root. inverses[i] is gens[i]^-1. Existing points are walked
     again, so trans may be extended as gens grows, and the insertion
     order of trans stays the BFS order.
+
+    Returns the tree edges this call added, {s[c]: (c, i)} with s =
+    gens[i]. For such an edge, compose(s, w_{s[c]}) = s s^-1 w_c = w_c,
+    so the Schreier generator of (c, s) is the identity by construction.
     """
+    edges = {}
     queue = list(trans)
     for c in queue:
         w = trans[c]
-        for s, s_inv in zip(gens, inverses):
+        for i, (s, s_inv) in enumerate(zip(gens, inverses)):
             img = s[c]
             if img not in trans:
                 trans[img] = compose(s_inv, w)
+                edges[img] = (c, i)
                 queue.append(img)
+    return edges
 
 
 class StabChain:
@@ -164,9 +188,25 @@ class StabChain:
     code, so a chain grown generator by generator describes the group
     its gens generate, as one built from all of them at once does; its
     base and transversals may differ from that chain's.
+
+    Each Schreier pair is tested once. _tested[l] = (points, gens) says
+    that the first `points` orbit points of level l, each with the first
+    `gens` strong generators, were tested by an earlier _complete(l); the
+    next call tests only new points with every generator and old points
+    with new generators. Skipping the rest changes nothing. Strong
+    generators and transversals only grow, so an old pair (b, s) has the
+    same sigma as when it was tested, and then sigma was the identity,
+    sifted to it, or left a residue that was absorbed: either way sigma
+    lies in <S_{l+1}>, which only grows. The levels below l are complete
+    whenever _complete(l) meets a pair, so sifting sigma again would end
+    in the identity, where the loop continues without a change. A tree
+    edge that this call's extend_transversal added has q = w_b by
+    construction, where the loop continues too. So the skipped pairs are
+    exactly ones that leave the chain as it was, and the chain equals the
+    one that tests every pair.
     """
 
-    __slots__ = ("npoints", "gens", "base", "strong", "inverses", "trans", "_id")
+    __slots__ = ("npoints", "gens", "base", "strong", "inverses", "trans", "_tested", "_id")
 
     def __init__(self, gens, npoints=None):
         gens = [tuple(g) for g in gens]
@@ -185,6 +225,7 @@ class StabChain:
         self.strong = []
         self.inverses = []
         self.trans = []
+        self._tested = []
         seeds = [g for g in gens if g != self._id]
         for g in seeds:
             if all(g[b] == b for b in self.base):
@@ -209,6 +250,7 @@ class StabChain:
         self.strong.append([])
         self.inverses.append([])
         self.trans.append({point: self._id})
+        self._tested.append((0, 0))
 
     def _strip(self, p, level, w=None):
         """Strip p, or w^-1 p without forming it, from this level down.
@@ -238,14 +280,24 @@ class StabChain:
             self._complete(l)
 
     def _complete(self, level):
-        """Make the chain below this level absorb all its Schreier generators."""
+        """Make the chain below this level absorb all its Schreier generators.
+
+        Only pairs not tested before and not tree edges are sifted; the
+        class docstring proves that the skipped ones change nothing.
+        """
         gens = self.strong[level]
         trans = self.trans[level]
-        extend_transversal(trans, gens, self.inverses[level])
-        for b in list(trans):
+        edges = extend_transversal(trans, gens, self.inverses[level])
+        old_points, old_gens = self._tested[level]
+        self._tested[level] = (len(trans), len(gens))
+        for k, b in enumerate(list(trans)):
             w = trans[b]
-            for s in gens:
-                q = compose(s, trans[s[b]])
+            for i in range(old_gens if k < old_points else 0, len(gens)):
+                s = gens[i]
+                c = s[b]
+                if edges.get(c) == (b, i):
+                    continue
+                q = compose(s, trans[c])
                 if q == w:
                     continue
                 q, stuck = self._strip(q, level + 1, w)
@@ -345,10 +397,6 @@ def derived_series(gens, npoints=None):
         if dchain.order() == 1 or all(dchain.contains(g) for g in current):
             return series
         current = dgens
-
-
-def is_solvable(gens, npoints=None):
-    return derived_series(gens, npoints)[-1].order() == 1
 
 
 def random_subgroup_search(

@@ -125,6 +125,40 @@ def test_sp4_entries_verify():
         assert verify_entry(entry)["passed"]
 
 
+def test_sp4_8_entry_verifies_on_4096_points():
+    entry = entry_sp4(3)
+    assert 1 << entry.n == 4096
+    report = verify_entry(entry)
+    assert report["passed"]
+    assert computed(report, "order") == sp_order(2, 8) == 1_056_706_560
+
+
+def computed(report, name):
+    return next(c["computed"] for c in report["checks"] if c["name"] == name)
+
+
+ORDER_ENTRIES = {
+    "gamma_l1:3": lambda: entry_gamma_l1(3),
+    "gamma_l1:10": lambda: entry_gamma_l1(10),
+    "sl:2:1": lambda: entry_sl(2, 1),
+    "sl:4:1": lambda: entry_sl(4, 1),
+    "sl:2:5": lambda: entry_sl(2, 5),
+    "sp4:1": lambda: entry_sp4(1),
+    "sp4:2": lambda: entry_sp4(2),
+    **{name: lambda name=name: load_entry(entry_path(name)) for name in SPORADICS},
+}
+
+
+@pytest.mark.parametrize("name", ORDER_ENTRIES)
+def test_verify_entry_order_equals_a_chain_built_from_the_generators(name):
+    # verify_entry grows the chain of G' by G's generators; the groups here
+    # that are not perfect (gamma_l1, sl:2:1, sp4:1, a6, sp4_2, g2_2) show
+    # that the growth reaches all of G and not only G'
+    entry = ORDER_ENTRIES[name]()
+    perms = entry.point_perms()
+    assert computed(verify_entry(entry), "order") == StabChain(perms, len(perms[0])).order()
+
+
 def test_sp4_bounds():
     with pytest.raises(Unsupported):
         entry_sp4(0)

@@ -23,7 +23,6 @@ from suzuki2.permgrp import (
     extend_transversal,
     identity_perm,
     invert,
-    is_solvable,
     normal_closure,
     orbit,
     orbits,
@@ -40,6 +39,10 @@ from suzuki2.repmod import (
     submodule_module,
 )
 from suzuki2.verify import _stabilizer_fixed_points
+
+
+def is_solvable(gens, npoints=None):
+    return derived_series(gens, npoints)[-1].order() == 1
 
 
 def mat_to_perm(m):
@@ -172,9 +175,42 @@ def test_perm_basics():
         validate_permutation((0, 1), npoints=3)
 
 
+def test_validate_permutation_rejects_entries_without_an_order():
+    # the test needs no order on the entries: 'a' is just not a point
+    with pytest.raises(NotBijective):
+        validate_permutation((0, "a"))
+    with pytest.raises(NotBijective):
+        validate_permutation((0, "a"), npoints=2)
+    validate_permutation((1, 0))
+
+
 def test_orbit_under_identity():
     assert orbit([identity_perm(5)], 3) == [3]
     assert orbit([], 2) == [2]
+
+
+def test_orbit_rejects_a_negative_start():
+    # a negative start would index the walk's seen-array from its end
+    with pytest.raises(BadShape):
+        orbit([(1, 0)], -1)
+    with pytest.raises(BadShape):
+        orbit([], -1)
+
+
+def test_orbit_rejects_a_start_past_the_generators():
+    # the generators' length bounds the start when npoints is not given
+    with pytest.raises(BadShape):
+        orbit([(1, 0)], 5)
+    with pytest.raises(BadShape):
+        orbit([(1, 0)], 2, 2)
+    assert orbit([(1, 0)], 1) == [1, 0]
+
+
+def test_orbit_rejects_a_start_past_npoints_without_generators():
+    # without generators, npoints still bounds the start
+    with pytest.raises(BadShape):
+        orbit([], 5, 3)
+    assert orbit([], 2, 3) == [2]
 
 
 def test_orbit_sl32_transitive():
@@ -639,3 +675,60 @@ def test_sl2_32_chain_inverts_once_per_strong_generator_and_residue(monkeypatch)
     oracle, oracle_calls = count_inverts(monkeypatch, lambda: InvertPerPointChain(perms))
     assert chain_data(oracle) == chain_data(chain)
     assert oracle_calls > allowed(oracle)
+
+
+def test_sl2_32_chain_forms_each_schreier_generator_once(monkeypatch):
+    """q = compose(s, w_{b^s}) is formed once per (level, point, generator)
+    and never for a tree edge of the transversal, whose q is w_b."""
+    perms = entry_sl(2, 5).point_perms()
+    levels = []  # levels of the active _complete calls, innermost last
+    formed = []  # (level, p, q) of every compose made inside _complete
+    trees = []  # (trans, edges) of every extend_transversal
+    real_complete = StabChain._complete
+    real_compose = permgrp.compose
+    real_extend = permgrp.extend_transversal
+
+    def complete(self, level):
+        levels.append(level)
+        try:
+            real_complete(self, level)
+        finally:
+            levels.pop()
+
+    def compose_in_complete(p, q):
+        if levels:
+            formed.append((levels[-1], p, q))
+        return real_compose(p, q)
+
+    def extend(trans, gens, inverses):
+        edges = real_extend(trans, gens, inverses)
+        trees.append((trans, edges))
+        return edges
+
+    monkeypatch.setattr(StabChain, "_complete", complete)
+    monkeypatch.setattr(permgrp, "compose", compose_in_complete)
+    monkeypatch.setattr(permgrp, "extend_transversal", extend)
+    chain = StabChain(perms)
+    monkeypatch.undo()
+
+    # a Schreier product composes a strong generator of its level with a
+    # transversal word of that level; the operands are the stored objects
+    strong_at = [{id(s): i for i, s in enumerate(level)} for level in chain.strong]
+    point_at = [{id(w): c for c, w in trans.items()} for trans in chain.trans]
+    pairs = []
+    for level, p, q in formed:
+        i, c = strong_at[level].get(id(p)), point_at[level].get(id(q))
+        if i is not None and c is not None:
+            pairs.append((level, p.index(c), i))
+    level_of = {id(trans): level for level, trans in enumerate(chain.trans)}
+    tree = {(level_of[id(trans)], b, i) for trans, edges in trees for b, i in edges.values()}
+    every = {
+        (level, b, i)
+        for level, trans in enumerate(chain.trans)
+        for b in trans
+        for i in range(len(chain.strong[level]))
+    }
+    assert len(pairs) == len(set(pairs))
+    assert not tree & set(pairs)
+    assert tree | set(pairs) == every
+    assert len(tree) == sum(len(trans) - 1 for trans in chain.trans)
