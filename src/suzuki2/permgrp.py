@@ -8,8 +8,9 @@ convention of the matrix actions that feed this module.
 
 Every orbit in the package comes from one of two breadth-first walks,
 both with the point list as its own queue: _walk marks points in a
-bytearray (orbit and orbits), and extend_transversal also keeps an
-inverse word per point (StabChain and automorphisms.brute_force_aut).
+bytearray (orbit, orbits and the unvalidated _trusted_orbits), and
+extend_transversal also keeps an inverse word per point (StabChain and
+automorphisms.brute_force_aut).
 
 Stabilizer chains are built by a deterministic Schreier-Sims: base
 points are always the smallest point moved by the permutation that
@@ -97,15 +98,37 @@ def orbit(gens, start, npoints=None):
         validate_permutation(g, npoints)
     if start < 0 or (npoints is not None and start >= npoints):
         raise BadShape(f"start point {start} outside the point range")
-    return _walk(gens, start, bytearray(npoints if npoints is not None else start + 1))
+    return _trusted_orbits(gens, npoints if npoints is not None else start + 1, [start])[0]
 
 
 def orbits(gens, npoints):
     """All orbits, each in BFS order, starting from the smallest unseen point."""
     for g in gens:
         validate_permutation(g, npoints)
+    return _trusted_orbits(gens, npoints)
+
+
+def _trusted_orbits(gens, npoints, starts=None):
+    """The orbits through starts (default: every point), unvalidated.
+
+    Exact for generators that are bijections of range(npoints): _walk
+    returns the forward closure of its start, and a permutation of a
+    finite set has an inverse that is one of its positive powers, so
+    that closure is the orbit. A start already reached lies in an orbit
+    listed before and is skipped, so each orbit appears once, from its
+    first start. orbit and orbits validate caller input and then call
+    this; the package calls it directly only on maps it built as
+    bijections, where validating 2^15-entry tuples again would prove
+    nothing new:
+    - repmod.point_permutations certifies every map it returns (the unit
+      images are independent, so the GF(2)-linear map is bijective);
+    - the pair map (x, y) -> (p[x], q[y]) on x * n + y is a bijection of
+      the n * n pairs when p and q are bijections of range(n).
+    """
     seen = bytearray(npoints)
-    return [_walk(gens, start, seen) for start in range(npoints) if not seen[start]]
+    if starts is None:
+        starts = range(npoints)
+    return [_walk(gens, s, seen) for s in starts if not seen[s]]
 
 
 def _walk(gens, start, seen):

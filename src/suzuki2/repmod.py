@@ -24,8 +24,8 @@ from .errors import (
     Undecided,
     Unsupported,
 )
-from .linalg import GF2, Matrix, Subspace, read_matrix, skip_comments
-from .permgrp import orbits
+from .linalg import GF2, Matrix, Subspace, _rref_gf2, read_matrix, skip_comments
+from .permgrp import _trusted_orbits
 
 _POINT_BITS = 16
 _ENUM_BOUND = 1 << 20
@@ -218,12 +218,40 @@ def spin(module, vectors):
     return space
 
 
+def _unit_images(ctx, rows):
+    """The point of e M for each unit point e, in bit order.
+
+    Bit k of a point is the field element 1 << (k mod n) in coordinate
+    k // n, and its image under v -> v M is that element times row k // n.
+    """
+    n = ctx.n
+    out = []
+    for row in rows:
+        for r in range(n):
+            c = 1 << r
+            b = 0
+            for j, a in enumerate(row):
+                if a:
+                    b |= ctx.mul(c, a) << (n * j)
+            out.append(b)
+    return out
+
+
 def point_permutations(module):
     """Each generator as a permutation of the packed points of the space.
 
     Coordinate i of a vector occupies bits [n*i, n*i + n) of its point
     number, so point 0 is the zero vector. Refuses spaces beyond 2^16
     points.
+
+    Point numbering is GF(2)-linear, so the image of p is the XOR of the
+    images of its bits, and the points below 2^(k+1) are those below 2^k,
+    then the same points with bit k set. Each map is certified once, by
+    its n*d unit images: they lie below 2^(n*d), and a GF(2)-linear map
+    of GF(2)^(n*d) to itself is bijective exactly when the images of a
+    basis are independent. So every returned tuple is a permutation of
+    range(2^(n*d)) and never needs validating again; a generator that
+    fails the certificate raises SingularMatrix.
     """
     ctx = module.ctx
     n, d = ctx.n, module.dim
@@ -232,19 +260,11 @@ def point_permutations(module):
         raise Unsupported(f"point space 2^{bits} exceeds 2^{_POINT_BITS}")
     perms = []
     for sym in module.symbols:
-        rows = module.action[sym].rows
-        # point numbering is GF(2)-linear, so the image of p is the XOR of
-        # the images of its bits; bit k is the field element 1 << (k mod n)
-        # in coordinate k // n, and the points below 2^(k+1) are those
-        # below 2^k, then the same points with bit k set
+        units = _unit_images(ctx, module.action[sym].rows)
+        if len(_echelon(units, bits)) < bits:
+            raise SingularMatrix(f"generator {sym!r} does not permute the points")
         img = [0]
-        for k in range(bits):
-            i, r = divmod(k, n)
-            c = 1 << r
-            b = 0
-            for j, a in enumerate(rows[i]):
-                if a:
-                    b |= ctx.mul(c, a) << (n * j)
+        for b in units:
             img += [x ^ b for x in img]
         perms.append(tuple(img))
     return perms
@@ -255,65 +275,105 @@ def _unpack(n, d, p):
     return tuple((p >> (n * i)) & mask for i in range(d))
 
 
-def _point_span(module, perms, p):
-    """Cyclic submodule generated by the vector packed as point p.
+def _echelon(vectors, bits):
+    """The reduced echelon basis of the GF(2)-span of int vectors below
+    2^bits, as a tuple: a span has exactly one, so equal tuples are equal
+    spans."""
+    masks, pivots = _rref_gf2(list(vectors), bits)
+    return tuple(masks[: len(pivots)])
 
-    Packing is GF(2)-linear: coordinate i occupies bits [n*i, n*i + n)
-    and field addition is XOR, so the point of a sum is the XOR of the
-    points, and each generator permutation perm is GF(2)-linear on ints.
-    The loop keeps an XOR basis with distinct leading bits, in decreasing
-    order, so v = min(v, v ^ b) clears the leading bit of b from v exactly
-    when it is set. Every basis element is reduced from p or from perm[w]
-    for an earlier element w, so the basis spans a GF(2)-subspace W of the
-    span of the orbit of p; each element's images under every generator
-    are reduced into W, so W is invariant, and as the group is finite it
-    is the whole GF(2)-span of the orbit. The F-span of W, which the final
-    Subspace computes over GF(2^n), is then the F-span of the orbit, i.e.
-    the cyclic submodule: no scalar multiples of p need to be permuted.
-    At most n*d points enter the basis, so a span costs at most
-    n*d*|gens| table lookups and one echelon form.
+
+def _point_span(perms, scalar, p):
+    """A GF(2) basis of the span of p closed under perms and under
+    multiplication by t (unit images in scalar, empty over GF(2)).
+
+    The basis is keyed by leading bit, so clearing v's leading bit with
+    the element that leads there, while one does, leaves 0 exactly when
+    v lies in the span. Every element is p or the reduced image of an
+    earlier one, and the images of every element under every map are
+    reduced into the span, so it is the smallest subspace holding p and
+    closed under the maps. At most n*d points enter the basis, so a span
+    costs at most n*d*(|gens| + 1) images.
     """
-    ctx = module.ctx
-    n, d = ctx.n, module.dim
+    piv = {p.bit_length() - 1: p}
     basis = [p]
-    queue = [p]
-    while queue:
-        w = queue.pop()
-        for perm in perms:
-            v = perm[w]
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-                queue.append(v)
-    return Subspace._of(ctx, [_unpack(n, d, b) for b in basis], d)
+    for w in basis:
+        images = [perm[w] for perm in perms]
+        if scalar:
+            images.append(_apply(scalar, w))
+        for v in images:
+            while v:
+                top = v.bit_length() - 1
+                b = piv.get(top)
+                if b is None:
+                    piv[top] = v
+                    basis.append(v)
+                    break
+                v ^= b
+    return basis
+
+
+def _apply(units, w):
+    """The image of point w under the GF(2)-linear map with these unit images."""
+    out = 0
+    for b in units:
+        if w & 1:
+            out ^= b
+        w >>= 1
+    return out
 
 
 def _cyclic_spans(module):
-    """The span of each nonzero point orbit, lazily: every cyclic submodule.
+    """Every cyclic submodule once, as a canonical GF(2) echelon tuple.
 
-    The orbit of point 0, the zero vector, comes first and is skipped.
-    point_permutations refuses spaces beyond 2^16 points.
+    Each nonzero point orbit contributes the span of its first point (the
+    orbit of point 0, the zero vector, comes first and is skipped); a
+    vector spans the same submodule as every point of its orbit, so no
+    cyclic submodule is missed. The point permutations are certified
+    bijections, so their orbits are walked unvalidated. point_permutations
+    refuses spaces beyond 2^16 points.
+
+    The G-and-t span of p is the cyclic F-submodule. It holds p and lies
+    in every submodule that does, since a submodule is closed under the
+    generators and under the scalar t. It is closed under t and so under
+    F = GF(2)[t], so it is an F-subspace closed under the generators, a
+    submodule. Over GF(2) the scalar map is the identity and is left out.
+
+    A canonical tuple identifies its span: in a reduced echelon basis
+    every pivot bit is set in exactly one element, and a subspace has
+    only one such basis (its element with pivot k is the one member
+    whose lowest set bit is k and that has no other pivot bit set). So
+    spans are deduplicated as tuples, before any Subspace exists, and
+    the GF(2)-subspace of an F-subspace's points determines it.
     """
+    ctx = module.ctx
+    n, d = ctx.n, module.dim
     perms = point_permutations(module)
-    for orb in orbits(perms, 1 << (module.ctx.n * module.dim))[1:]:
-        yield _point_span(module, perms, orb[0])
+    scalar = ()
+    if n > 1:
+        scalar = _unit_images(ctx, [[ctx.t if i == j else 0 for j in range(d)] for i in range(d)])
+    seen = set()
+    for orb in _trusted_orbits(perms, 1 << (n * d))[1:]:
+        span = _echelon(_point_span(perms, scalar, orb[0]), n * d)
+        if span not in seen:
+            seen.add(span)
+            yield span
 
 
 def is_irreducible(module):
     """True iff every nonzero vector spins to the whole space.
 
-    Exhaustive via point orbits when the space has at most 2^16 points.
-    Beyond that, seeded random spins can only refute; an unrefuted large
-    module raises Unsupported rather than guessing true.
+    Exhaustive via point orbits when the space has at most 2^16 points:
+    a cyclic span with fewer than n*d GF(2) basis points is a proper
+    submodule. Beyond that, seeded random spins can only refute; an
+    unrefuted large module raises Unsupported rather than guessing true.
     """
     d = module.dim
     if d == 0:
         return False
     ctx = module.ctx
     if ctx.n * d <= _POINT_BITS:
-        return all(s.dim == d for s in _cyclic_spans(module))
+        return all(len(s) == ctx.n * d for s in _cyclic_spans(module))
     rng = random.Random(_SEED)
     for _ in range(_IRREDUCIBLE_TRIALS):
         v = [rng.randrange(ctx.size) for _ in range(d)]
@@ -371,29 +431,33 @@ class SubmoduleLattice:
 
 
 def submodule_lattice(module):
-    """Every invariant subspace: cyclic spins closed under pairwise sums.
+    """Every invariant subspace: cyclic spans closed under pairwise sums.
 
     Cyclic submodules are the spans of point orbits, and every submodule
     is a sum of cyclic ones, so the closure is the complete lattice (in
-    particular it is intersection-closed for free).
+    particular it is intersection-closed for free). Packing is
+    GF(2)-linear, so the points of a sum of F-subspaces are the XOR sums
+    of their points: the canonical GF(2) echelon tuple of two members'
+    tuples together is their sum. Sums close on those tuples, and each
+    member becomes a Subspace once, at the end.
     """
-    members = [Subspace(module.ctx, [], module.dim)]
-    index = {members[0]}
-    for s in _cyclic_spans(module):
-        if s not in index:
-            index.add(s)
-            members.append(s)
+    ctx = module.ctx
+    n, d = ctx.n, module.dim
+    members = [(), *_cyclic_spans(module)]
+    index = set(members)
     i = 0
     while i < len(members):
-        for j in range(i + 1):
-            s = members[i].sum(members[j])
+        for j in range(1, i):
+            s = _echelon(members[i] + members[j], n * d)
             if s not in index:
                 if len(members) >= _LATTICE_CAP:
                     raise Unsupported("submodule lattice has too many members")
                 index.add(s)
                 members.append(s)
         i += 1
-    return SubmoduleLattice(module, members)
+    return SubmoduleLattice(
+        module, [Subspace._of(ctx, [_unpack(n, d, b) for b in m], d) for m in members]
+    )
 
 
 def _check_invariant(module, w):
@@ -485,7 +549,8 @@ def is_isomorphic(m1, m2):
     """Three-valued: True, False, or UNKNOWN. Never a silent false.
 
     The Hom space is searched exhaustively up to 2^20 combinations, then
-    by seeded random trials; an exhausted random search returns UNKNOWN.
+    by seeded random trials; an exhausted random search returns UNKNOWN
+    unless the dimensions below refute the pair.
 
     No irreducibility test is needed first. If both modules are
     irreducible and Hom is nonzero, Hom is isomorphic to End(m1), a finite
@@ -495,6 +560,13 @@ def is_isomorphic(m1, m2):
     first nonzero tuple (0, ..., 0, 1) is homs[-1], a nonzero intertwiner
     between irreducibles, hence invertible: the answer is True, as Schur's
     lemma gives it.
+
+    Before giving up, the search compares dimensions. An isomorphism phi
+    from m1 to m2 gives F-linear bijections T -> T phi^-1 from Hom(m1, m2)
+    onto End(m1) and T -> phi^-1 T onto End(m2), with inverses S -> S phi
+    and S -> phi S, since products of intertwiners intertwine. So if dim
+    Hom differs from dim End(m1) or dim End(m2), the answer is False. Only
+    an exhausted random search computes the End spaces.
     """
     _same_symbols(m1, m2)
     if m1.dim != m2.dim:
@@ -516,6 +588,8 @@ def is_isomorphic(m1, m2):
         coeffs = [rng.randrange(ctx.size) for _ in range(k)]
         if any(coeffs) and _combine(ctx, homs, coeffs).is_invertible():
             return True
+    if len(hom_space(m1, m1)) != k or len(hom_space(m2, m2)) != k:
+        return False
     return UNKNOWN
 
 

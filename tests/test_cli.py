@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from suzuki2 import catalog, cli
+from suzuki2 import catalog, cli, repmod
 from suzuki2.errors import ToolkitError, Unsupported
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import Matrix
@@ -120,9 +120,10 @@ def test_module_reducible(capsys, tmp_path):
     assert dims[0] == "0" and dims[-1] == "4" and len(dims) > 2
 
 
-def test_module_iso_unknown_exit3(capsys, tmp_path):
+def test_module_iso_unknown_exit3(capsys, tmp_path, monkeypatch):
     # Trivial vs unipotent in dim 6: the hom space has 2^30 combinations,
-    # none invertible, so the seeded search exhausts without a verdict.
+    # none invertible, so the seeded search exhausts; dim Hom = 30 against
+    # dim End = 36 and 26 then refutes the pair.
     ctx = FieldContext(1)
     ident = Matrix.identity(ctx, 6)
     rows = [list(r) for r in ident.rows]
@@ -132,6 +133,11 @@ def test_module_iso_unknown_exit3(capsys, tmp_path):
     p1.write_text(module_to_text(GModule(ctx, 6, {"g0": ident})))
     p2.write_text(module_to_text(GModule(ctx, 6, {"g0": Matrix(ctx, rows)})))
     code, out, _ = run(capsys, ["module", "iso", str(p1), str(p2)])
+    assert code == 0
+    assert out == "false\n"
+    # With no random trials, trivial against itself stays undecided.
+    monkeypatch.setattr(repmod, "_ISOMORPHISM_TRIALS", 0)
+    code, out, _ = run(capsys, ["module", "iso", str(p1), str(p1)])
     assert code == 3
     assert out == "unknown\n"
 

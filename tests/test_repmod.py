@@ -24,7 +24,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace
-from suzuki2.permgrp import _walk, validate_permutation
+from suzuki2.permgrp import _walk, orbits
 from suzuki2.repmod import (
     UNKNOWN,
     GModule,
@@ -223,6 +223,20 @@ def test_point_permutations():
         point_permutations(big)
 
 
+@pytest.mark.parametrize(
+    "singular",
+    [Matrix(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]), Matrix(GF4, [[1, T], [T, GF4.mul(T, T)]])],
+)
+def test_point_permutations_certify_each_generator(singular, monkeypatch):
+    # a singular generator slipped past GModule's own check must not
+    # become a point "permutation" that the orbit walks trust
+    monkeypatch.setattr(Matrix, "is_invertible", lambda self: True)
+    ctx, d = singular.ctx, singular.nrows
+    module = GModule(ctx, d, {"a": Matrix.identity(ctx, d), "s": singular})
+    with pytest.raises(SingularMatrix, match="'s'"):
+        point_permutations(module)
+
+
 def test_is_irreducible_frozen_verdicts():
     assert is_irreducible(sl3_2()) is True
     v = restrict_scalars(sl2_4())
@@ -264,11 +278,51 @@ def _orbit_span(module, orb):
     return space
 
 
-def _oracle_span(module, perms, p):
-    # the lattice and irreducibility code hand over the point permutations
-    # that orbits() validated, and the test validates each module's once,
-    # so the orbit is walked without validating them again per orbit
-    return _orbit_span(module, _walk(perms, p, bytearray(len(perms[0]))))
+def _packed_points(space):
+    """GF(2) spanning points of an F-subspace: t^r b for each basis b."""
+    ctx = space.ctx
+    n = ctx.n
+    points = []
+    for b in space.basis:
+        for r in range(n):
+            c = ctx.pow(ctx.t, r)
+            points.append(sum(ctx.mul(c, x) << (n * i) for i, x in enumerate(b)))
+    return points
+
+
+def _oracle_span(module):
+    """A stand-in for repmod._point_span: GF(2) spanning points of the
+    F-span of the walked orbit."""
+    npts = 1 << (module.ctx.n * module.dim)
+
+    def span(perms, scalar, p):
+        return _packed_points(_orbit_span(module, _walk(perms, p, bytearray(npts))))
+
+    return span
+
+
+def _subspace_lattice(module):
+    """Test-local copy of the lattice before packed sums: each orbit's
+    span is a Subspace, and pairwise Subspace sums close the lattice."""
+    ctx, d = module.ctx, module.dim
+    perms = point_permutations(module)
+    spans = [_orbit_span(module, orb) for orb in orbits(perms, 1 << (ctx.n * d))[1:]]
+    members = [Subspace(ctx, [], d)]
+    index = set(members)
+    for s in spans:
+        if s not in index:
+            index.add(s)
+            members.append(s)
+    i = 0
+    while i < len(members):
+        for j in range(i + 1):
+            s = members[i].sum(members[j])
+            if s not in index:
+                index.add(s)
+                members.append(s)
+        i += 1
+    members.sort(key=lambda s: (s.dim, s.basis))
+    return tuple(members), d > 0 and all(s.dim == d for s in spans)
 
 
 # every shipped sporadic and catalog module, and natural + dual of SL2
@@ -300,12 +354,20 @@ def test_point_spans_match_the_orbit_oracle(spec, monkeypatch):
     if module.ctx.n * module.dim * (module.dim - 1) // 2 <= 16:
         modules.append(exterior_square(module))
     packed = [(submodule_lattice(m).members, is_irreducible(m)) for m in modules]
-    for m in modules:
-        perms = point_permutations(m)
-        for g in perms:
-            validate_permutation(g, 1 << (m.ctx.n * m.dim))
-    monkeypatch.setattr(repmod, "_point_span", _oracle_span)
-    assert [(submodule_lattice(m).members, is_irreducible(m)) for m in modules] == packed
+    assert packed == [_subspace_lattice(m) for m in modules]
+    for m, want in zip(modules, packed):
+        monkeypatch.setattr(repmod, "_point_span", _oracle_span(m))
+        assert (submodule_lattice(m).members, is_irreducible(m)) == want
+
+
+@pytest.mark.parametrize("ctx, size", [(GF2, 5), (GF4, 7)])
+def test_generator_less_module(ctx, size):
+    # every subspace is invariant: 0, the q + 1 lines and the plane
+    module = GModule(ctx, 2, {})
+    lattice = submodule_lattice(module)
+    assert len(lattice) == size
+    assert (lattice.members, is_irreducible(module)) == _subspace_lattice(module)
+    assert is_irreducible(module) is False
 
 
 def test_lattice_of_an_irreducible_module():
@@ -517,12 +579,18 @@ def test_is_isomorphic_agrees_with_the_schur_rule_on_irreducibles():
             assert written_over_subfield(mod, 1) is _schur_rule(mod, twist(mod, 1))
 
 
-def test_is_isomorphic_unknown_is_loud():
+def test_is_isomorphic_unknown_is_loud(monkeypatch):
     triv6 = GModule(GF2, 6, {"g": Matrix.identity(GF2, 6)})
     irr2 = GModule(GF2, 2, {"g": Matrix(GF2, [[0, 1], [1, 1]])})
     mixed = direct_sum(GModule(GF2, 4, {"g": Matrix.identity(GF2, 4)}), irr2)
-    assert len(hom_space(triv6, mixed)) == 24
-    verdict = is_isomorphic(triv6, mixed)
+    # the random search fails, but dim Hom = 24 is not dim End = 36 or 18
+    dims = [len(hom_space(a, b)) for a, b in ((triv6, mixed), (triv6, triv6), (mixed, mixed))]
+    assert dims == [24, 36, 18]
+    assert is_isomorphic(triv6, mixed) is False
+    # with no random trials an isomorphic pair past the exhaustive bound
+    # stays undecided: its Hom and End dimensions all agree
+    monkeypatch.setattr(repmod, "_ISOMORPHISM_TRIALS", 0)
+    verdict = is_isomorphic(triv6, triv6)
     assert verdict is UNKNOWN
     assert repr(verdict) == "UNKNOWN"
     with pytest.raises(Undecided):
