@@ -28,7 +28,6 @@ from .gf2n import FieldContext
 from .linalg import GF2, Matrix, point_matrix, read_matrix, skip_comments
 from .permgrp import (
     DEFAULT_BUDGET,
-    _trusted_orbits,
     derived_series,
     orbit,
     random_subgroup_search,
@@ -237,9 +236,9 @@ def verify_entry(entry):
     generator g keeps it complete for the group it describes, which ends
     as <G', gens> = G; so its order is |G| exactly. For a perfect group
     each add is only a membership strip, and G's own chain, the costly
-    one at large orders, is never built from its generators. The point
-    permutations are certified bijections, so transitivity is read off an
-    unvalidated walk.
+    one at large orders, is never built from its generators.
+    Transitivity is read off the public orbit; validating the maps costs
+    one set per generator, next to nothing beside the chain.
     """
     perms = entry.point_perms()
     npts = 1 << entry.n
@@ -250,7 +249,7 @@ def verify_entry(entry):
         chain.add(g)
     computed = {
         "order": chain.order(),
-        "transitive": len(_trusted_orbits(perms, npts, [1])[0]) == npts - 1,
+        "transitive": len(orbit(perms, 1)) == npts - 1,
         "solvable": solvable,
     }
     checks = [

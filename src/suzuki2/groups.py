@@ -67,12 +67,11 @@ class FiniteGroup:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
             inv.append(j)
         self.inv = tuple(inv)
-        if n > 1:
-            for g in self.gens if self.gens else range(n):
-                left = itemgetter(*mul[g])
-                for row_a in mul:
-                    if left(row_a) != mul[row_a[g]]:
-                        raise NotAGroup(f"associativity fails through generator {g}")
+        for g in self.gens:
+            left = itemgetter(*mul[g])
+            for row_a in mul:
+                if left(row_a) != mul[row_a[g]]:
+                    raise NotAGroup(f"associativity fails through generator {g}")
         # the orbit of 0 under right multiplication by the generators, in
         # the list-as-queue form of permgrp's walk, which this layer sits below
         seen = bytearray(n)

@@ -117,13 +117,10 @@ def _trusted_orbits(gens, npoints, starts=None):
     that closure is the orbit. A start already reached lies in an orbit
     listed before and is skipped, so each orbit appears once, from its
     first start. orbit and orbits validate caller input and then call
-    this; the package calls it directly only on maps it built as
-    bijections, where validating 2^15-entry tuples again would prove
-    nothing new:
-    - repmod.point_permutations certifies every map it returns (the unit
-      images are independent, so the GF(2)-linear map is bijective);
-    - the pair map (x, y) -> (p[x], q[y]) on x * n + y is a bijection of
-      the n * n pairs when p and q are bijections of range(n).
+    this. The only other caller is repmod, on the maps of
+    point_permutations, which certifies each one as a bijection (its
+    unit images are independent); code outside permgrp and repmod walks
+    those maps through repmod.point_orbits.
     """
     seen = bytearray(npoints)
     if starts is None:

@@ -270,6 +270,17 @@ def point_permutations(module):
     return perms
 
 
+def point_orbits(module, starts=None):
+    """The orbits of point_permutations(module) through starts (default:
+    every point), each in BFS order; a start already reached is skipped.
+
+    point_permutations certifies its maps as bijections, so they are
+    walked without validating them again.
+    """
+    npoints = 1 << (module.ctx.n * module.dim)
+    return _trusted_orbits(point_permutations(module), npoints, starts)
+
+
 def _unpack(n, d, p):
     mask = (1 << n) - 1
     return tuple((p >> (n * i)) & mask for i in range(d))

@@ -60,17 +60,17 @@ from .errors import (
     ToolkitError,
     Unsupported,
 )
-from .linalg import Matrix, Subspace
-from .permgrp import _trusted_orbits, orbit
+from .permgrp import orbit
 from .repmod import (
     UNKNOWN,
     decompose_lemma22,
+    direct_sum,
     dual,
     exterior_square,
     is_irreducible,
     is_isomorphic,
     is_trivial_action,
-    point_permutations,
+    point_orbits,
     quotient_module,
     restrict_scalars,
     submodule_lattice,
@@ -146,28 +146,39 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _stabilizer_fixed_points(base_perms, base_point, other_perms, npts):
-    """Nonzero points w of the second action fixed by the stabilizer H_b.
+def _stabilizer_fixed_points(v, m):
+    """Nonzero vectors w of m fixed by the stabilizer H_b of point b = 1 of v.
 
-    Both permutation lists are images of one generator list of the same
-    group H, so H acts on pairs (v, w), point v * npts + w, by both
-    actions at once. By orbit-stabilizer |H.(b, w)| = |H : H_b & H_w|,
-    and that equals |H.b| = |H : H_b| exactly when H_b <= H_w, i.e. when
-    H_b fixes w. Both lists come from point_permutations, which certifies
-    them as bijections, and the pair maps of two bijections are
-    bijections, so the orbits are walked unvalidated.
+    The group H acts on direct_sum(v, m), where the pair (x, w) is the
+    point x | w << bits, bits = n * dim v. By orbit-stabilizer
+    |H.(b, w)| = |H : H_b & H_w|, and that equals |H.b| = |H : H_b|
+    exactly when H_b <= H_w, i.e. when H_b fixes w. Projection onto the
+    first entry maps H.(b, w) onto H.b with fibres of one size, so an
+    orbit of the size of H.b meets the points (b, *) only at its start,
+    and a larger one reaches another (b, w') and is listed once, from
+    the first start it holds. So the orbits of that size start exactly
+    at the fixed w, in increasing order.
     """
-    pair_gens = [
-        tuple(x * npts + y for x in bp for y in op) for bp, op in zip(base_perms, other_perms)
-    ]
-    size = len(_trusted_orbits(base_perms, npts, [base_point])[0])
-    return sorted(
-        p % npts
-        for part in _trusted_orbits(pair_gens, npts * npts)
+    bits = v.ctx.n * v.dim
+    size = len(point_orbits(v, [1])[0])
+    starts = [1 | w << bits for w in range(1, 1 << (m.ctx.n * m.dim))]
+    return [
+        part[0] >> bits
+        for part in point_orbits(direct_sum(v, m), starts)
         if len(part) == size
-        for p in part
-        if p // npts == base_point and p % npts
-    )
+    ]
+
+
+def _transitivity_claims(v, m, ids, statements):
+    """Three claims, under the given ids and statements: H is transitive
+    on the nonzero vectors of v, and of m, and H_b fixes no nonzero
+    vector of m."""
+    total = (1 << (v.ctx.n * v.dim)) - 1
+    return [
+        _claim(ids[0], statements[0], total, len(point_orbits(v, [1])[0])),
+        _claim(ids[1], statements[1], total, len(point_orbits(m, [1])[0])),
+        _claim(ids[2], statements[2], 0, len(_stabilizer_fixed_points(v, m))),
+    ]
 
 
 def run_theorem_dual(n):
@@ -176,7 +187,6 @@ def run_theorem_dual(n):
         raise Unsupported(f"desk instances are n = 3 and n = 6, got {n}")
     f = n // 3
     u = sl_natural_module(3, f)
-    npts = 1 << n
     claims = []
     if n == 3:
         v = u
@@ -197,30 +207,15 @@ def run_theorem_dual(n):
                 is_isomorphic(v, m),
             )
         )
-        vp, mp = point_permutations(v), point_permutations(m)
-        claims.append(
-            _claim(
-                "natural-transitive",
+        claims += _transitivity_claims(
+            v,
+            m,
+            ("natural-transitive", "dual-transitive", "stabilizer-mismatch"),
+            (
                 "the action is transitive on the nonzero vectors of the natural module",
-                npts - 1,
-                len(_trusted_orbits(vp, npts, [1])[0]),
-            )
-        )
-        claims.append(
-            _claim(
-                "dual-transitive",
                 "the action is transitive on the nonzero vectors of the dual module",
-                npts - 1,
-                len(_trusted_orbits(mp, npts, [1])[0]),
-            )
-        )
-        claims.append(
-            _claim(
-                "stabilizer-mismatch",
                 "the stabilizer of a nonzero vector fixes no nonzero dual vector",
-                0,
-                len(_stabilizer_fixed_points(vp, 1, mp, npts)),
-            )
+            ),
         )
     else:
         v = restrict_scalars(u)
@@ -252,30 +247,15 @@ def run_theorem_dual(n):
                     is_isomorphic(a_mod, dual(v)),
                 )
             )
-            vp, ap = point_permutations(v), point_permutations(a_mod)
-            claims.append(
-                _claim(
-                    "natural-transitive",
+            claims += _transitivity_claims(
+                v,
+                a_mod,
+                ("natural-transitive", "dual-summand-transitive", "stabilizer-mismatch"),
+                (
                     "the action is transitive on the 63 nonzero restricted vectors",
-                    npts - 1,
-                    len(_trusted_orbits(vp, npts, [1])[0]),
-                )
-            )
-            claims.append(
-                _claim(
-                    "dual-summand-transitive",
                     "the action is transitive on the 63 nonzero vectors of the summand",
-                    npts - 1,
-                    len(_trusted_orbits(ap, npts, [1])[0]),
-                )
-            )
-            claims.append(
-                _claim(
-                    "stabilizer-mismatch",
                     "the stabilizer of a nonzero vector fixes no nonzero summand vector",
-                    0,
-                    len(_stabilizer_fixed_points(vp, 1, ap, npts)),
-                )
+                ),
             )
     claims.append(
         _trusted(
@@ -316,15 +296,17 @@ def run_small_eliminations(entry, data_dir=None):
     ]
     lam = exterior_square(cat.module())
     lattice = submodule_lattice(lam)
+    # a quotient transitive on its nonzero vectors is irreducible (any
+    # nonzero submodule holds a whole orbit), so its kernel is maximal;
+    # lam / lam has no nonzero vector and stays untransitive
+    maximal = lattice.maximal_proper()
     spectrum = []
     for w in lattice:
-        q = quotient_module(lam, w)
-        if q.dim == 0:
-            spectrum.append([0, False])
-            continue
-        qn = 1 << q.dim
-        transitive = len(_trusted_orbits(point_permutations(q), qn, [1])[0]) == qn - 1
-        spectrum.append([q.dim, transitive])
+        qdim = lam.dim - w.dim
+        transitive = w in maximal and (
+            len(point_orbits(quotient_module(lam, w), [1])[0]) == (1 << qdim) - 1
+        )
+        spectrum.append([qdim, transitive])
     trans_dims = sorted({d for d, t in spectrum if t})
     claims.append(
         _recorded("lattice-size", "number of submodules of the exterior square", len(lattice))
@@ -385,8 +367,7 @@ def run_sl2_omega(f=2):
     if dec["passed"]:
         lam = exterior_square(restrict_scalars(u))
         b_mod = submodule_module(lam, dec["pieces"][1]["space"])
-        perms = point_permutations(b_mod)
-        sizes = sorted(len(o) for o in _trusted_orbits(perms, 1 << b_mod.dim) if 0 not in o)
+        sizes = sorted(len(o) for o in point_orbits(b_mod)[1:])
         q = 1 << (f // 2)
         total = (1 << b_mod.dim) - 1
         singular = (q * q + 1) * (q - 1)
@@ -441,38 +422,26 @@ def run_sp_lambda(f):
                 "t-is-maximal",
                 "the codimension-1 submodule is maximal",
                 True,
-                any(w.basis == t_space.basis for w in lattice.maximal_proper()),
+                t_space in lattice.maximal_proper(),
             )
         )
-        below = [w for w in lattice if w.dim < t_space.dim and t_space.contains_space(w)]
-        max_below = [
-            w
-            for w in below
-            if not any(
-                x.dim > w.dim and x.dim < t_space.dim and x.contains_space(w)
-                for x in below
-            )
-        ]
+        t_mod = submodule_module(lam, t_space)
+        t0s = submodule_lattice(t_mod).maximal_proper()
         claims.append(
-            _claim("t0-unique-maximal", "T has a unique maximal submodule", 1, len(max_below))
+            _claim("t0-unique-maximal", "T has a unique maximal submodule", 1, len(t0s))
         )
-        if len(max_below) == 1:
-            t0_space = max_below[0]
-            claims.append(_claim("t0-dim", "the unique maximal submodule of T has dimension 1", 1, t0_space.dim))
+        if len(t0s) == 1:
+            t0 = t0s[0]
+            claims.append(_claim("t0-dim", "the unique maximal submodule of T has dimension 1", 1, t0.dim))
             claims.append(
                 _claim(
                     "t0-trivial-action",
                     "the group acts trivially on it",
                     True,
-                    is_trivial_action(submodule_module(lam, t0_space)),
+                    is_trivial_action(submodule_module(t_mod, t0)),
                 )
             )
-            t_mod = submodule_module(lam, t_space)
-            tb = Matrix(lam.ctx, list(t_space.basis))
-            t0_in_t = Subspace(
-                lam.ctx, [tb.solve(vec) for vec in t0_space.basis], t_mod.dim
-            )
-            section = quotient_module(t_mod, t0_in_t)
+            section = quotient_module(t_mod, t0)
             claims.append(
                 _claim("section-irreducible", "T/T0 is irreducible", True, is_irreducible(section))
             )
@@ -826,10 +795,14 @@ def run_all(config):
         plan.append((name, params, settings))
 
     cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
+    sources = {}  # source_digest per data directory, each read once
     results = []
     for name, params, settings in plan:
         if cache_dir is not None:
-            key = cache_key(name, params, source_digest(settings.get("data_dir")))
+            data_dir = settings.get("data_dir")
+            if data_dir not in sources:
+                sources[data_dir] = source_digest(data_dir)
+            key = cache_key(name, params, sources[data_dir])
             path = cache_dir / f"{key}.json"
             if path.exists():
                 results.append(

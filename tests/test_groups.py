@@ -323,23 +323,33 @@ def test_special_center_agrees_with_the_closure_oracle(name):
         assert all(coord[mul[a][b]] == coord[a] ^ coord[b] for a in coord for b in coord)
 
 
+# commutative loop with two-sided inverses that is not associative:
+# (1*1)*2 = 2 but 1*(1*2) = 4, so Light's test must reject it
+LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 4, 5, 2],
+    [2, 3, 0, 5, 1, 4],
+    [3, 4, 5, 0, 2, 1],
+    [4, 5, 1, 2, 0, 3],
+    [5, 2, 4, 1, 3, 0],
+]
+
+
 def test_table_validation_catches_bad_tables():
     with pytest.raises(NotAGroup):
         FiniteGroup([[0, 1], [1, 1]], [1])  # 1 has no inverse
     with pytest.raises(NotAGroup):
         FiniteGroup([[1, 0], [0, 1]], [1])  # 0 not an identity
-    # commutative loop with two-sided inverses that is not associative:
-    # (1*1)*2 = 2 but 1*(1*2) = 4, so Light's test must reject it
-    loop = [
-        [0, 1, 2, 3, 4, 5],
-        [1, 0, 3, 4, 5, 2],
-        [2, 3, 0, 5, 1, 4],
-        [3, 4, 5, 0, 2, 1],
-        [4, 5, 1, 2, 0, 3],
-        [5, 2, 4, 1, 3, 0],
-    ]
     with pytest.raises(NotAGroup):
-        FiniteGroup(loop, [1, 2])
+        FiniteGroup(LOOP, [1, 2])
+
+
+def test_a_table_without_generators_fails_generation_not_associativity():
+    # with no generators Light's test has nothing to check, and only the
+    # trivial table passes the generation walk
+    with pytest.raises(NotAGroup, match="do not generate"):
+        FiniteGroup(LOOP, [])
+    assert FiniteGroup([[0]], []).order == 1
 
 
 def s3_compose(p, q):
@@ -390,17 +400,8 @@ def test_composed_closure_equals_rule_filled_on_other_eps(power, monkeypatch):
 
 
 def test_closure_rejects_a_rule_off_its_table():
-    # the non-associative loop of test_table_validation_catches_bad_tables
-    loop = [
-        [0, 1, 2, 3, 4, 5],
-        [1, 0, 3, 4, 5, 2],
-        [2, 3, 0, 5, 1, 4],
-        [3, 4, 5, 0, 2, 1],
-        [4, 5, 1, 2, 0, 3],
-        [5, 2, 4, 1, 3, 0],
-    ]
     with pytest.raises(NotAGroup):
-        closure([1, 2], lambda a, b: loop[a][b], 0)
+        closure([1, 2], lambda a, b: LOOP[a][b], 0)
     # Z/4 with one wrong product on an edge the search does not follow
     # (3 was reached from 2): only the edge cross-check can see it
     def off_by_one(a, b):

@@ -62,3 +62,19 @@ def test_import_adds_only_the_known_stdlib_modules():
         "json.scanner",
         "_json",
     }
+
+
+def test_only_permgrp_and_repmod_name_the_unvalidated_orbit_walk():
+    # _trusted_orbits skips validation; other modules walk certified
+    # points through repmod.point_orbits and anything else through orbit
+    names = []
+    for path in sorted((ROOT / "src" / "suzuki2").glob("*.py")):
+        if path.stem in ("permgrp", "repmod"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "_trusted_orbits":
+                names.append(f"{path.name}:{node.lineno}")
+    assert names == []

@@ -149,18 +149,20 @@ def schreier_replay_fixed_points(base_perms, base_point, other_perms, npts):
     return [w for w in range(1, npts) if all(s[w] == w for s in stab)]
 
 
-def theorem_dual_actions(case):
-    """The two point actions a theorem-dual stabilizer-mismatch claim compares."""
+def theorem_dual_modules(case):
+    """The two modules a theorem-dual stabilizer-mismatch claim compares."""
     if case == "natural-natural":
-        vp = point_permutations(sl_natural_module(3, 1))
-        return vp, vp
+        v = sl_natural_module(3, 1)
+        return v, v
     if case == "n3-dual":
         v = sl_natural_module(3, 1)
-        return point_permutations(v), point_permutations(dual(v))
+        return v, dual(v)
     u = sl_natural_module(3, 2)
     v = restrict_scalars(u)
+    if case == "natural-natural-n6":
+        return v, v
     piece = decompose_lemma22(u)["pieces"][0]["space"]
-    return point_permutations(v), point_permutations(submodule_module(exterior_square(v), piece))
+    return v, submodule_module(exterior_square(v), piece)
 
 
 def test_perm_basics():
@@ -256,14 +258,21 @@ def test_schreier_words_give_stabilizer_elements():
 
 @pytest.mark.parametrize(
     "case, expected",
-    [("n3-dual", []), ("n6-summand", []), ("natural-natural", [1])],
-    ids=["n3-dual", "n6-summand", "natural-natural"],
+    [
+        ("n3-dual", []),
+        ("n6-summand", []),
+        ("natural-natural", [1]),
+        # the stabilizer of b in SL3(4) fixes the GF(4)-multiples of b, so
+        # the n = 6 mismatch claim can fail: it does, natural against itself
+        ("natural-natural-n6", [1, 2, 3]),
+    ],
+    ids=["n3-dual", "n6-summand", "natural-natural", "natural-natural-n6"],
 )
 def test_pair_orbit_fixed_points_match_the_schreier_replay(case, expected):
-    vp, other = theorem_dual_actions(case)
-    npts = len(vp[0])
-    fixed = _stabilizer_fixed_points(vp, 1, other, npts)
-    assert fixed == schreier_replay_fixed_points(vp, 1, other, npts) == expected
+    v, m = theorem_dual_modules(case)
+    vp, mp = point_permutations(v), point_permutations(m)
+    fixed = _stabilizer_fixed_points(v, m)
+    assert fixed == schreier_replay_fixed_points(vp, 1, mp, len(vp[0])) == expected
 
 
 def test_chain_order_sl32():

@@ -40,6 +40,7 @@ from suzuki2.repmod import (
     is_trivial_action,
     module_from_text,
     module_to_text,
+    point_orbits,
     point_permutations,
     quotient_module,
     restrict_scalars,
@@ -221,6 +222,16 @@ def test_point_permutations():
     big = GModule(GF2, 17, {"g": Matrix.identity(GF2, 17)})
     with pytest.raises(Unsupported):
         point_permutations(big)
+
+
+def test_point_orbits_match_the_validated_walk():
+    # SL2(4) on GF(4)^2 fixes 0 and is transitive on the 15 other points
+    m = sl2_4()
+    every = point_orbits(m)
+    assert every == orbits(point_permutations(m), 16)
+    assert [len(o) for o in every] == [1, 15]
+    # a start reached from an earlier one is skipped
+    assert [(o[0], len(o)) for o in point_orbits(m, [3, 5, 0])] == [(3, 15), (0, 1)]
 
 
 @pytest.mark.parametrize(

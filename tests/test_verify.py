@@ -8,9 +8,18 @@ from pathlib import Path
 import pytest
 
 from suzuki2 import verify
-from suzuki2.catalog import data_directory
+from suzuki2.catalog import data_directory, entry_path, load_entry, sp4_natural_module
 from suzuki2.errors import BadFormat, Unsupported
-from suzuki2.repmod import UNKNOWN
+from suzuki2.linalg import Matrix, Subspace
+from suzuki2.permgrp import orbit
+from suzuki2.repmod import (
+    UNKNOWN,
+    exterior_square,
+    point_permutations,
+    quotient_module,
+    submodule_lattice,
+    submodule_module,
+)
 
 
 def by_id(report):
@@ -71,6 +80,26 @@ def test_small_eliminations_all_entries():
         assert c["max-transitive-quotient-dim"]["computed"] == expected_max
 
 
+def every_quotient_survey(entry):
+    """Oracle: test the quotient by every lattice member for transitivity,
+    recording the zero quotient as untransitive."""
+    lam = exterior_square(load_entry(entry_path(entry)).module())
+    spectrum = []
+    for w in submodule_lattice(lam):
+        q = quotient_module(lam, w)
+        if q.dim == 0:
+            spectrum.append([0, False])
+            continue
+        spectrum.append([q.dim, len(orbit(point_permutations(q), 1)) == (1 << q.dim) - 1])
+    return spectrum
+
+
+@pytest.mark.parametrize("entry", sorted(ELIMINATION_SPECTRA))
+def test_maximal_only_survey_equals_the_every_quotient_survey(entry):
+    c = by_id(verify.run_small_eliminations(entry))
+    assert c["quotient-spectrum"]["computed"] == every_quotient_survey(entry)
+
+
 def test_small_eliminations_unknown_entry():
     with pytest.raises(Unsupported):
         verify.run_small_eliminations("m11")
@@ -128,6 +157,26 @@ def test_sp_lambda_structure():
     assert c2["section-not-over-subfield"]["status"] == "pass"
     with pytest.raises(Unsupported):
         verify.run_sp_lambda(3)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_t_own_maximal_submodules_equal_the_scan_below_t(f):
+    # oracle: the members of the exterior square's lattice maximal below
+    # T, carried into T's coordinates by solving against T's basis
+    lam = exterior_square(sp4_natural_module(f))
+    lattice = submodule_lattice(lam)
+    (t_space,) = lattice.of_dim(lam.dim - 1)
+    below = [w for w in lattice if w.dim < t_space.dim and t_space.contains_space(w)]
+    max_below = [
+        w
+        for w in below
+        if not any(x.dim > w.dim and x.contains_space(w) for x in below)
+    ]
+    tb = Matrix(lam.ctx, list(t_space.basis))
+    in_t = [Subspace(lam.ctx, [tb.solve(v) for v in w.basis], t_space.dim) for w in max_below]
+    own = submodule_lattice(submodule_module(lam, t_space)).maximal_proper()
+    assert len(in_t) == len(own) == 1
+    assert set(in_t) == set(own)
 
 
 def test_suzuki_suite_slow():
@@ -269,6 +318,22 @@ def test_source_digest_covers_the_data_files(tmp_path):
     assert before == verify.source_digest(data_directory())
     (data / "extra.txt").write_text("")
     assert verify.source_digest(data) != before
+
+
+def test_run_all_digests_the_sources_once_per_data_directory(tmp_path, monkeypatch):
+    calls = []
+    digest = verify.source_digest
+    monkeypatch.setattr(verify, "source_digest", lambda d=None: calls.append(d) or digest(d))
+    # a stub run keeps the test to the cache keys
+    monkeypatch.setattr(
+        verify, "_run_one", lambda name, params, settings: (verify._report(name, params, []), 0)
+    )
+    verify.run_all({"cache_dir": tmp_path / "cache"})
+    assert calls == [None]
+    calls.clear()
+    data = str(data_directory())
+    verify.run_all({"cache_dir": tmp_path / "cache", "data_dir": data})
+    assert calls == [None, data]
 
 
 def test_run_all_rejects_jobs_and_seed():
