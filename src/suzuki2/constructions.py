@@ -19,7 +19,11 @@ The a2, b2 and P(eps) rules share one shape, (a, b)(c, d) =
 (a+c, b+d+f(a, c)), and all three builders go through _cocycle_group:
 it certifies that the cocycle f is biadditive, which makes the rule
 associative (see _cocycle_rule), closes the generators with
-groups.closure and checks the order.
+groups.closure(..., certified=True) and checks the order. That
+certificate is the table's associativity proof: these tables skip
+Light's test (see groups.FiniteGroup._certified) and keep the identity,
+inverse and generation checks. The homocyclic and quaternion rules are
+associative by argument only, so their tables still get Light's test.
 
 Each builder tags the group's meta dict with the family name, the field
 context, and GF(2)-bases of V = N/Z (the a-part) and of Z (the b-part),
@@ -111,8 +115,11 @@ def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
     cocycle rule of f, tagged with meta and the v_basis/z_basis bases.
 
     f is certified biadditive before anything else runs (second included),
-    so the rule meets the precondition of groups.closure; a closure whose
-    order is not the given one raises NotAGroup.
+    so the rule meets the precondition of groups.closure, and closure is
+    told so (certified=True): the certificate stands in for Light's test
+    on the table, which FiniteGroup._certified then skips. A cocycle that
+    is not biadditive raises NotAGroup before any table is built; a
+    closure whose order is not the given one raises NotAGroup.
     """
     _check_biadditive(f, dim)
     basis = [1 << i for i in range(dim)]
@@ -121,6 +128,7 @@ def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
         _cocycle_rule(f),
         (0, 0),
         meta={**meta, "v_basis": basis, "z_basis": z_basis},
+        certified=True,
     )
     if g.order != order:
         raise NotAGroup(f"closure produced order {g.order}, not {order}")

@@ -5,9 +5,17 @@ explicit multiplication rule. Element ids are canonical: labels are
 sorted and numbered 0..n-1 with the identity forced to id 0, so every
 table is reproducible bit-exactly across runs.
 
-Associativity is verified exactly on construction, at every order, by
-Light's test over the generating set, which by Light's theorem is
-equivalent to checking all triples.
+Every table is checked on construction for an identity at id 0,
+two-sided inverses and generation. Associativity is verified exactly, at
+every order, by Light's test over the generating set, which by Light's
+theorem is equivalent to checking all triples. Only one kind of table
+skips that test: a closure whose rule the caller has certified
+associative (closure(..., certified=True), which constructions passes
+for the a2, b2 and P(eps) cocycle tables after _check_biadditive). It
+reaches the group through the trusted entry FiniteGroup._certified,
+whose docstring holds the proof. Every other table, the homocyclic and
+quaternion closures and any table passed to FiniteGroup(...) included,
+gets Light's test.
 
 Beyond the table a group answers element orders, commutators, its
 center, and whether it is special: special_center decides that in one
@@ -29,6 +37,10 @@ class FiniteGroup:
     __slots__ = ("mul", "inv", "gens", "labels", "n", "meta", "_orders")
 
     def __init__(self, mul, gens, labels=None, meta=None):
+        self._store(mul, gens, labels, meta)
+        self._check_table()
+
+    def _store(self, mul, gens, labels, meta):
         self.mul = tuple(map(tuple, mul))
         self.n = len(self.mul)
         self.gens = tuple(gens)
@@ -37,9 +49,33 @@ class FiniteGroup:
             raise NotAGroup("label count mismatch")
         self.meta = dict(meta) if meta else {}
         self._orders = None
-        self._check_table()
 
-    def _check_table(self):
+    @classmethod
+    def _certified(cls, mul, gens, labels=None, meta=None):
+        """Build from a closure table of a certified rule, without Light's test.
+
+        The only way to skip the associativity check; groups.closure calls
+        it when its caller passes certified=True, and only
+        constructions._cocycle_group does, for rules
+        (a, b)(c, d) = (a+c, b+d+f(a, c)) whose f _check_biadditive has
+        proved biadditive on all pairs. Such a rule is associative with
+        identity (0, 0): both sides of the 2-cocycle identity
+        f(a, c) + f(a+c, e) = f(c, e) + f(a, c+e) expand to
+        f(a, c) + f(a, e) + f(c, e), and f(0, c) = f(a, 0) = 0. Then, by
+        closure's induction on the depth of x in its tree, every composed
+        row(x) is the rule's row of x: every product x*y lies in the
+        label set, which the rule therefore keeps closed, and the table is
+        the rule's own multiplication on it. A restriction of an
+        associative operation to a closed subset is associative, so
+        Light's test could only confirm it. The identity, two-sided
+        inverse and generation checks still run.
+        """
+        self = object.__new__(cls)
+        self._store(mul, gens, labels, meta)
+        self._check_table(associative=True)
+        return self
+
+    def _check_table(self, associative=False):
         """Identity, two-sided inverses, associativity and generation.
 
         Associativity is Light's test: for each generator g and every a,
@@ -48,7 +84,9 @@ class FiniteGroup:
         elements g that pass form a closed set (if g and h pass, then
         (a*gh)*b = ((a*g)*h)*b = (a*g)*(h*b) = a*(g*(h*b)) = a*((g*h)*b)),
         so once the generators pass and generate, every triple is
-        associative: the test is exact at every order.
+        associative: the test is exact at every order. Only _certified
+        passes associative=True, which skips it; its docstring has the
+        proof that stands in.
         """
         n, mul = self.n, self.mul
         if n == 0:
@@ -67,11 +105,12 @@ class FiniteGroup:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
             inv.append(j)
         self.inv = tuple(inv)
-        for g in self.gens:
-            left = itemgetter(*mul[g])
-            for row_a in mul:
-                if left(row_a) != mul[row_a[g]]:
-                    raise NotAGroup(f"associativity fails through generator {g}")
+        if not associative:
+            for g in self.gens:
+                left = itemgetter(*mul[g])
+                for row_a in mul:
+                    if left(row_a) != mul[row_a[g]]:
+                        raise NotAGroup(f"associativity fails through generator {g}")
         # the orbit of 0 under right multiplication by the generators, in
         # the list-as-queue form of permgrp's walk, which this layer sits below
         seen = bytearray(n)
@@ -191,7 +230,7 @@ class FiniteGroup:
         return self.special_center() is not None
 
 
-def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
+def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None, certified=False):
     """Generate a FiniteGroup from generator labels under a product rule.
 
     Ids are assigned by sorting the closed label set, then moving the
@@ -204,10 +243,18 @@ def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
     is a left identity of it. Then the composed table is the rule's table,
     by induction on the depth of x in the tree: row(identity) is the rule's
     row, and if row(x) is, then row(x*s)[y] = x*(s*y) = (x*s)*y. Callers
-    certify the precondition (see constructions). Independently, every
+    argue the precondition (see constructions). Independently, every
     product x*s the search computed is checked against the composed table,
-    and FiniteGroup checks the table itself exactly, so a rule that breaks
-    the precondition on a generator edge raises NotAGroup.
+    so a rule that breaks the precondition on a generator edge raises
+    NotAGroup.
+
+    By default the table then goes through FiniteGroup, which checks it
+    exactly, Light's test included. certified=True says the caller has
+    proved the precondition by a check that ran, not by an argument; the
+    table then goes through FiniteGroup._certified, which skips Light's
+    test and nothing else (its docstring has the proof).
+    constructions._cocycle_group passes it after _check_biadditive, and
+    nothing else does.
     """
     seen = {identity}
     order = [identity]
@@ -251,7 +298,7 @@ def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
         for g, y in zip(gen_ids, products):
             if row[g] != index[y]:
                 raise NotAGroup(f"rule product {x!r} * {labels[g]!r} disagrees with the table")
-    return FiniteGroup(
+    return (FiniteGroup._certified if certified else FiniteGroup)(
         [rows[lab] for lab in labels],
         list(dict.fromkeys(gen_ids)),
         labels=tuple(labels),

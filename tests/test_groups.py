@@ -10,8 +10,13 @@ from suzuki2.gf2n import PEPS_POLY, FieldContext
 from suzuki2.groups import ORDER_CAP, FiniteGroup, closure
 
 
-def rule_filled_closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None):
-    """The former closure, kept as the oracle: every cell from the rule."""
+def rule_filled_closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None, certified=False):
+    """The former closure, kept as the oracle: every cell from the rule.
+
+    certified is accepted and ignored: the table always goes through the
+    public FiniteGroup, so every certified table it is compared with is
+    compared with one that passed Light's test.
+    """
     seen = {identity}
     order = [identity]
     gens = []
@@ -342,6 +347,39 @@ def test_table_validation_catches_bad_tables():
         FiniteGroup([[1, 0], [0, 1]], [1])  # 0 not an identity
     with pytest.raises(NotAGroup):
         FiniteGroup(LOOP, [1, 2])
+
+
+def test_the_trusted_entry_skips_only_light_test():
+    # LOOP fails only associativity: the public constructor rejects it
+    # for that, the trusted entry does not look
+    with pytest.raises(NotAGroup, match="associativity"):
+        FiniteGroup(LOOP, [1, 2])
+    assert FiniteGroup._certified(LOOP, [1, 2]).order == 6
+
+
+@pytest.mark.parametrize(
+    "table, gens, match",
+    [
+        ([[1, 0], [0, 1]], [1], "not an identity"),
+        ([[0, 1], [1, 1]], [1], "no two-sided inverse"),
+        ([[a ^ b for b in range(4)] for a in range(4)], [1], "do not generate"),
+        ([[a ^ b for b in range(4)] for a in range(4)], [], "do not generate"),
+    ],
+)
+def test_the_trusted_entry_keeps_the_other_checks(table, gens, match):
+    with pytest.raises(NotAGroup, match=match):
+        FiniteGroup._certified(table, gens)
+
+
+def test_a_non_biadditive_cocycle_is_rejected_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        pytest.fail("closure ran on an uncertified cocycle")
+
+    monkeypatch.setattr(constructions, "closure", no_table)
+    # the integer product agrees with its bilinear expansion on basis
+    # rows, but f(3, 3) = 9 while f(1, 3) + f(2, 3) = 3 xor 6 = 5
+    with pytest.raises(NotAGroup, match=r"biadditive at \(3, 3\)"):
+        constructions._cocycle_group(lambda a, c: a * c, 2, [1, 2, 4, 8], 64, {})
 
 
 def test_a_table_without_generators_fails_generation_not_associativity():

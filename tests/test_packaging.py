@@ -64,17 +64,32 @@ def test_import_adds_only_the_known_stdlib_modules():
     }
 
 
-def test_only_permgrp_and_repmod_name_the_unvalidated_orbit_walk():
-    # _trusted_orbits skips validation; other modules walk certified
-    # points through repmod.point_orbits and anything else through orbit
-    names = []
+def uses_outside(allowed, wanted):
+    """file:line of each name, attribute, import or keyword argument in
+    wanted, in the package modules other than those allowed."""
+    uses = []
     for path in sorted((ROOT / "src" / "suzuki2").glob("*.py")):
-        if path.stem in ("permgrp", "repmod"):
+        if path.stem in allowed:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name == "_trusted_orbits":
-                names.append(f"{path.name}:{node.lineno}")
-    assert names == []
+            elif isinstance(node, ast.keyword):
+                name = node.arg
+            if name in wanted:
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
+def test_only_groups_and_constructions_skip_light_test():
+    # FiniteGroup._certified skips the associativity check, and
+    # closure(..., certified=...) routes a table to it; only the cocycle
+    # builders, which certify biadditivity first, may ask for that
+    assert uses_outside(("groups", "constructions"), ("_certified", "certified")) == []
+
+
+def test_only_permgrp_and_repmod_name_the_unvalidated_orbit_walk():
+    # _trusted_orbits skips validation; other modules walk certified
+    # points through repmod.point_orbits and anything else through orbit
+    assert uses_outside(("permgrp", "repmod"), ("_trusted_orbits",)) == []
