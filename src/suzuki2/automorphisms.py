@@ -5,11 +5,11 @@ A map built from a formula or returned by a search passes the row
 certificate of the Automorphism constructor: perm(g*x) = perm(g)*perm(x)
 for every generator g of the group and every element x, which by
 induction on word length is the full homomorphism property, so nothing
-downstream ever trusts a formula. A product or inverse of certified maps
-of one group (compose, inverse and the lists brute_force_aut builds) is
-certified by closure instead: bijective homomorphisms that fix 0 are
-closed under both, so Automorphism._product wraps it with no check. The
-known generator families are:
+downstream ever trusts a formula. The maps brute_force_aut lists are
+products of maps that passed the constructor, and closure certifies
+them instead: bijective homomorphisms that fix 0 are closed under
+composition and inversion, so Automorphism._product wraps them with no
+check. The known generator families are:
 
   - central maps g -> g * chi(g Z), one per (generator position, Z-basis
     element) pair, built from the bit of the V-coordinate;
@@ -115,9 +115,6 @@ class Automorphism:
         self.perm = perm
         self.source = source
 
-    def __call__(self, i):
-        return self.perm[i]
-
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self.perm == other.perm
 
@@ -145,15 +142,6 @@ class Automorphism:
         self.perm = perm
         self.source = source
         return self
-
-    def compose(self, other):
-        """Apply self, then other; certified by closure."""
-        if other.group is not self.group:
-            raise Unsupported("automorphisms of different groups")
-        return Automorphism._product(self.group, compose(self.perm, other.perm))
-
-    def inverse(self):
-        return Automorphism._product(self.group, invert(self.perm))
 
 
 def _first_extension(mul_src, mul_dst, gen_ids, choices):

@@ -35,6 +35,7 @@ from operator import xor
 
 from .errors import (
     BadEpsilon,
+    BadFormat,
     BadTheta,
     GroupTooLarge,
     NotAGroup,
@@ -283,8 +284,6 @@ def build_generalized_quaternion(order):
 
 def build_family(spec):
     """Build from a family specifier like a2:3:1, b2:2, peps, hc:2:4, q:16."""
-    from .errors import BadFormat
-
     parts = spec.split(":")
     name, args = parts[0], parts[1:]
     try:

@@ -148,9 +148,6 @@ class FieldContext:
             raise ValueError(f"{x!r} is not an element of GF(2^{self.n})")
         return x
 
-    def add(self, x, y):
-        return x ^ y
-
     def mul(self, x, y):
         """x * y by discrete logarithms.
 

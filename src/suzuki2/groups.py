@@ -44,6 +44,8 @@ class FiniteGroup:
         self.mul = tuple(map(tuple, mul))
         self.n = len(self.mul)
         self.gens = tuple(gens)
+        if not all(0 <= g < self.n for g in self.gens):
+            raise NotAGroup(f"generator ids must lie in 0..{self.n - 1}")
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.n:
             raise NotAGroup("label count mismatch")

@@ -27,7 +27,7 @@ already valid are built by Matrix._of and Subspace._of, which check
 nothing.
 """
 
-from .errors import BadShape, FieldMismatch, NoSolution, SingularMatrix
+from .errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatrix
 from .gf2n import FieldContext, poly_to_hex
 
 GF2 = FieldContext(1)
@@ -93,10 +93,6 @@ class Matrix:
     def identity(cls, ctx, n):
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, ctx, r, c):
-        return cls(ctx, [[0] * c for _ in range(r)])
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -116,15 +112,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over GF(2^{self.ctx.n}))"
 
-    def __add__(self, other):
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise BadShape(f"cannot add {self.shape} and {other.shape}")
-        return Matrix._of(
-            self.ctx,
-            [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
     def __mul__(self, other):
         self._same_field(other)
         if self.ncols != other.nrows:
@@ -142,20 +129,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix._of(self.ctx, out)
-
-    def __pow__(self, e):
-        if self.nrows != self.ncols:
-            raise BadShape("power of a non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = Matrix.identity(self.ctx, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def _same_field(self, other):
         if self.ctx != other.ctx:
@@ -348,8 +321,6 @@ def read_matrix(lines, start):
     """Parse one matrix block of a line list from index start, skipping
     comments before it; returns (Matrix, index after the block). Line
     numbers in errors count from start."""
-    from .errors import BadFormat
-
     idx = skip_comments(lines, start)
     try:
         head = lines[idx].split()

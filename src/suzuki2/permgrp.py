@@ -12,10 +12,13 @@ bytearray (orbit, orbits and the unvalidated _trusted_orbits), and
 extend_transversal also keeps an inverse word per point (StabChain and
 automorphisms.brute_force_aut).
 
-Stabilizer chains are built by a deterministic Schreier-Sims: base
-points are always the smallest point moved by the permutation that
-forces them, orbits grow in BFS insertion order, and transversals are
-extend-only, so identical generator lists reproduce identical chains.
+Stabilizer chains are built by a deterministic incremental
+Schreier-Sims, and every chain grows the one way, by StabChain.add: the
+constructor adds its generators one at a time to the empty chain, as
+normal_closure and catalog.verify_entry do with theirs. Base points are
+always the smallest point moved by the permutation that forces them,
+orbits grow in BFS insertion order, and transversals are extend-only,
+so identical generator lists reproduce identical chains.
 """
 
 import random
@@ -68,6 +71,15 @@ def perm_order(p):
             length += 1
         orders.append(length)
     return lcm(*orders)
+
+
+def _point_count(gens, npoints):
+    """npoints if given, else the length of the first generator."""
+    if npoints is None:
+        if not gens:
+            raise BadShape("npoints required when there are no generators")
+        npoints = len(gens[0])
+    return npoints
 
 
 def validate_permutation(p, npoints=None):
@@ -204,10 +216,14 @@ class StabChain:
     orbits in BFS order, strong generators) is the one forward
     transversals build.
 
-    add(g) strips g from level 0 and absorbs the residue by the same
-    code, so a chain grown generator by generator describes the group
-    its gens generate, as one built from all of them at once does; its
-    base and transversals may differ from that chain's.
+    Every chain grows by add(g), and the constructor is the empty chain
+    followed by add(g) for each generator in turn. add strips g from
+    level 0: a member strips to the identity and changes nothing, so a
+    redundant generator joins no level. Any other g leaves a residue h,
+    stuck at some level (past the last one, h opens a new level at its
+    smallest moved point); h joins the strong generators of every level
+    down to that one, and those levels are completed again, the deepest
+    first. gens lists the generators given, members included.
 
     Each Schreier pair is tested once. _tested[l] = (points, gens) says
     that the first `points` orbit points of level l, each with the first
@@ -230,34 +246,22 @@ class StabChain:
 
     def __init__(self, gens, npoints=None):
         gens = [tuple(g) for g in gens]
-        if npoints is None:
-            if not gens:
-                raise BadShape("npoints required when there are no generators")
-            npoints = len(gens[0])
+        npoints = _point_count(gens, npoints)
         if npoints > MAX_POINTS:
             raise Unsupported(f"point set larger than {MAX_POINTS}")
         for g in gens:
             validate_permutation(g, npoints)
         self.npoints = npoints
-        self.gens = tuple(gens)
+        self.gens = ()
         self._id = identity_perm(npoints)
         self.base = []
         self.strong = []
         self.inverses = []
         self.trans = []
         self._tested = []
-        seeds = [g for g in gens if g != self._id]
-        for g in seeds:
-            if all(g[b] == b for b in self.base):
-                self._new_level(self._smallest_moved(g))
-        for g, g_inv in zip(seeds, map(invert, seeds)):
-            for level in range(len(self.base)):
-                if any(g[b] != b for b in self.base[:level]):
-                    break
-                self.strong[level].append(g)
-                self.inverses[level].append(g_inv)
-        for level in range(len(self.base) - 1, -1, -1):
-            self._complete(level)
+        for g in gens:
+            self._add(g)
+        self.gens = tuple(gens)
 
     def _smallest_moved(self, p):
         for x in range(self.npoints):
@@ -347,8 +351,11 @@ class StabChain:
         return n
 
     def contains(self, p):
+        """Membership; False for anything not a permutation of the points."""
         p = tuple(p)
-        if len(p) != self.npoints:
+        try:
+            validate_permutation(p, self.npoints)
+        except (BadShape, NotBijective):
             return False
         residue, _ = self._strip(p, 0)
         return residue == self._id
@@ -371,8 +378,7 @@ def normal_closure(group_gens, seed_perms, npoints):
         validate_permutation(g, npoints)
     inverses = [invert(g) for g in group_gens]
     chain = StabChain([], npoints)
-    ident = identity_perm(npoints)
-    queue = [tuple(p) for p in seed_perms if tuple(p) != ident]
+    queue = [tuple(p) for p in seed_perms]
     for d in queue:
         validate_permutation(d, npoints)
     for d in queue:
@@ -396,10 +402,7 @@ def derived_series(gens, npoints=None):
     [b, a] after [a, b] and skip it as a member, so it returns the same
     generators from these seeds alone.
     """
-    if npoints is None:
-        if not gens:
-            raise BadShape("npoints required when there are no generators")
-        npoints = len(gens[0])
+    npoints = _point_count(gens, npoints)
     series = []
     current = [tuple(g) for g in gens]
     while True:
@@ -429,10 +432,7 @@ def random_subgroup_search(
     satisfies the predicate. Identical seeds replay identical searches.
     """
     ambient_gens = [tuple(g) for g in ambient_gens]
-    if npoints is None:
-        if not ambient_gens:
-            raise BadShape("npoints required when there are no generators")
-        npoints = len(ambient_gens[0])
+    npoints = _point_count(ambient_gens, npoints)
     for g in ambient_gens:
         validate_permutation(g, npoints)
     if target_order == 1:

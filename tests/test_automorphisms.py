@@ -23,7 +23,7 @@ from suzuki2 import automorphisms
 from suzuki2.gf2n import FieldContext
 from suzuki2.groups import FiniteGroup
 from suzuki2.linalg import GF2, Matrix, point_matrix, wedge_pairs
-from suzuki2.permgrp import StabChain, orbits
+from suzuki2.permgrp import StabChain, compose, invert, orbits
 from suzuki2.automorphisms import (
     Automorphism,
     _certificate_witness,
@@ -53,7 +53,7 @@ def test_identity_automorphism():
     q8 = build_generalized_quaternion(8)
     ident = Automorphism(q8, range(q8.n), "custom")
     assert ident.order() == 1
-    assert ident(3) == 3
+    assert ident.perm[3] == 3
 
 
 def test_certificate_rejects_non_homomorphism():
@@ -93,9 +93,9 @@ def test_conjugation_certifies_and_composes():
     q16 = build_generalized_quaternion(16)
     a = Automorphism(q16, conjugation(q16, q16.gens[0]))
     b = Automorphism(q16, conjugation(q16, q16.gens[1]))
-    # closure of certified maps re-certifies
-    c = a.compose(b)
-    assert c.inverse().compose(c).order() == 1
+    # products and inverses of certified maps pass the certificate again
+    c = Automorphism(q16, compose(a.perm, b.perm))
+    assert Automorphism(q16, compose(invert(c.perm), c.perm)).order() == 1
     assert a.order() in (1, 2, 4, 8)
 
 
@@ -122,7 +122,7 @@ def test_known_generators_b2():
     lam = ctx.t
     lam5 = ctx.pow(lam, 5)
     for i, (a, b) in enumerate(g.labels):
-        assert g.labels[xi(i)] == (ctx.mul(a, lam), ctx.mul(b, lam5))
+        assert g.labels[xi.perm[i]] == (ctx.mul(a, lam), ctx.mul(b, lam5))
 
 
 def test_known_generators_peps():
@@ -391,7 +391,7 @@ def test_induced_actions():
     # xi acts on V as multiplication by the field generator: order 7
     m = point_matrix(v_points[-2], sc.dim_v)
     assert m != ident
-    assert m**7 == ident
+    assert m * m * m * m * m * m * m == ident
 
 
 def test_commutator_matrix_shape_and_rank():

@@ -16,6 +16,7 @@ from suzuki2.automorphisms import (
     brute_force_aut,
 )
 from suzuki2.constructions import build_family
+from suzuki2.permgrp import compose, invert
 
 SPECS = ("b2:1", "q:16", "hc:2:4", "a2:3:1")
 
@@ -58,12 +59,11 @@ def test_compose_and_inverse_stay_certified(i, j):
     hc = auts("hc:2:4")
     assert len(hc) == 96
     a, b = hc[i], hc[j]
-    # compose and inverse are certified by closure: both sides are
-    # automorphisms of hc, so their product and inverses are too
-    c = a.compose(b)
+    # Automorphism._product wraps products and inverses of certified maps
+    # unchecked, by closure; the certificate confirms it on hc's pairs
+    c = Automorphism(a.group, compose(a.perm, b.perm))
     assert c in hc
     assert c.perm == tuple(b.perm[x] for x in a.perm)
-    inv = a.inverse()
+    inv = Automorphism(a.group, invert(a.perm))
     assert inv in hc
-    assert a.compose(inv).perm == tuple(range(a.group.n))
-    assert inv.compose(a).order() == 1
+    assert compose(a.perm, inv.perm) == tuple(range(a.group.n))

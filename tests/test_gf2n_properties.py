@@ -34,9 +34,8 @@ def test_ring_laws(args):
     mul = ctx.mul
     assert mul(x, y) == mul(y, x)
     assert mul(mul(x, y), z) == mul(x, mul(y, z))
-    assert mul(x, ctx.add(y, z)) == mul(x, y) ^ mul(x, z)
+    assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
     assert mul(x, 1) == x and mul(x, 0) == 0
-    assert ctx.add(x, x) == 0
 
 
 @given(elements(2))

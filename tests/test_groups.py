@@ -349,6 +349,13 @@ def test_table_validation_catches_bad_tables():
         FiniteGroup(LOOP, [1, 2])
 
 
+@pytest.mark.parametrize("gens", [[-1], [5], [1, 2]])
+def test_generator_ids_outside_the_table_are_rejected(gens):
+    # -1 would index the last row, and 5 or 2 past the end
+    with pytest.raises(NotAGroup, match="generator ids"):
+        FiniteGroup([[0, 1], [1, 0]], gens)
+
+
 def test_the_trusted_entry_skips_only_light_test():
     # LOOP fails only associativity: the public constructor rejects it
     # for that, the trusted entry does not look
@@ -364,6 +371,8 @@ def test_the_trusted_entry_skips_only_light_test():
         ([[0, 1], [1, 1]], [1], "no two-sided inverse"),
         ([[a ^ b for b in range(4)] for a in range(4)], [1], "do not generate"),
         ([[a ^ b for b in range(4)] for a in range(4)], [], "do not generate"),
+        ([[0, 1], [1, 0]], [-1], "generator ids"),
+        ([[0, 1], [1, 0]], [5], "generator ids"),
     ],
 )
 def test_the_trusted_entry_keeps_the_other_checks(table, gens, match):

@@ -57,15 +57,6 @@ def test_apply_is_row_action():
     assert (a * b).apply(v) == b.apply(a.apply(v))
 
 
-def test_pow_matches_repeated_product():
-    rng = random.Random(3)
-    a = rand_invertible(F4, 3, rng)
-    assert a**0 == Matrix.identity(F4, 3)
-    assert a**3 == a * a * a
-    assert a**-1 == a.inverse()
-    assert a**-2 == a.inverse() * a.inverse()
-
-
 def test_inverse_self_inverse_example():
     a = Matrix(GF2, [[1, 1], [0, 1]])
     assert a.inverse() == a
@@ -113,7 +104,7 @@ def test_rref_row_space_preserved():
 
 def test_rank_of_identity_and_zero():
     assert Matrix.identity(F8, 5).rank() == 5
-    assert Matrix.zeros(F8, 3, 4).rank() == 0
+    assert Matrix(F8, [[0] * 4 for _ in range(3)]).rank() == 0
 
 
 def test_kernel_annihilates_and_has_right_dim():
@@ -283,7 +274,6 @@ def test_computed_matrices_equal_their_checked_copies():
         b = rand_matrix(ctx, 3, 3, rng)
         c = rand_matrix(ctx, 2, 3, rng)
         for m in (
-            a + b,
             a * b,
             c.transpose(),
             c.rref()[0],

@@ -333,6 +333,15 @@ def test_contains_short_products():
                 assert chain.contains(compose(compose(a, b), c))
 
 
+def test_contains_rejects_non_permutations():
+    s3 = StabChain([(1, 0, 2), (1, 2, 0)])
+    assert s3.order() == 6
+    # negative entries would index from the end, and 7 past it
+    for p in ((0, 1, -1), (2, 1, -3), (1, 0, 7), (0, 0, 1), (0, 1)):
+        assert s3.contains(p) is False
+    assert s3.contains((2, 0, 1)) is True
+
+
 def test_trivial_chains():
     assert StabChain([], npoints=5).order() == 1
     assert StabChain([identity_perm(3)]).order() == 1
@@ -502,14 +511,16 @@ def test_chain_transversals_hold_inverses():
 
 
 def test_transversal_walk_and_plain_walk_agree():
-    # both walks expand points in the order they were reached; a level
-    # extended again as strong generators arrive may differ from one
-    # fresh walk in general, but on these chains it does not, so a change
-    # to either walk's order shows here
+    # both walks expand points in the order they were reached, so one fresh
+    # transversal walk over a level's strong generators lists the level's
+    # orbit as orbit() does; a change to either walk's order shows here
     for gens in (sl32_gens(), gl1_8_gens(), s4_gens()):
         chain = StabChain(gens)
         for l, b in enumerate(chain.base):
-            assert list(chain.trans[l]) == orbit(chain.strong[l], b)
+            trans = {b: identity_perm(chain.npoints)}
+            extend_transversal(trans, chain.strong[l], chain.inverses[l])
+            assert list(trans) == orbit(chain.strong[l], b)
+            assert trans.keys() == chain.trans[l].keys()
         for part in orbits(gens, len(gens[0])):
             assert part == orbit(gens, part[0])
 
@@ -650,6 +661,24 @@ def test_add_grows_a_chain_to_the_generated_group():
         chain.add((0, 0, 1, 2, 3, 4, 5))
     with pytest.raises(BadShape):
         chain.add((1, 0))
+
+
+def test_constructor_is_the_empty_chain_plus_add_per_generator():
+    sl32 = sl32_gens()
+    redundant = [identity_perm(7), sl32[0], compose(sl32[0], sl32[1]), sl32[0]]
+    redundant += [sl32[1], invert(sl32[1]), compose(sl32[1], sl32[0])]
+    for gens in (sl32, gl1_8_gens(), s4_gens(), redundant):
+        n = len(gens[0])
+        grown = StabChain([], n)
+        for g in gens:
+            grown.add(g)
+        built = StabChain(gens)
+        # base, strong generators and transversals in insertion order
+        assert chain_data(built) == chain_data(grown)
+        assert built.gens == tuple(gens)
+    # of the redundant list, add kept only the two generators it needed
+    assert grown.gens == (sl32[0], compose(sl32[0], sl32[1]))
+    assert built.order() == 168
 
 
 def count_inverts(monkeypatch, build):
