@@ -11,8 +11,8 @@ them instead: bijective homomorphisms that fix 0 are closed under
 composition and inversion, so Automorphism._product wraps them with no
 check. The known generator families are:
 
-  - central maps g -> g * chi(g Z), one per (generator position, Z-basis
-    element) pair, built from the bit of the V-coordinate;
+  - central maps x -> x * z_j on the cosets whose V coordinate has bit i
+    set, one per pair (i, j), which generate Hom(V, Z);
   - a scaling map xi multiplying the a-part by the field generator;
   - the entrywise Frobenius phi (a2 and b2 families);
   - for the order-512 family, two odd semilinear candidates
@@ -27,12 +27,13 @@ independent oracle for small groups, and the fusion/orbit machinery
 feeds the verification scenarios.
 
 special_coords reads the coordinates of V = G/Z and of Z off the table
-of a tagged special group, once; the exact-sequence count and
-verify_lemma31 both take them from there. The actions a map induces on
-V and on Z are point permutations, read in one pass per map; orbit
-counts and the image order in GL(V) use them directly. Matrices, built
-from the images of the unit points, appear only where a linear statement
-is checked (the commutator equivariance and ranks).
+alone, for a special group whose generators are a basis of V; the
+central maps, the exact-sequence count and verify_lemma31 take them from
+there. The actions a map induces on V and on Z are point permutations,
+read in one pass per map; orbit counts and the image order in GL(V) use
+them directly. Matrices, built from the images of the unit points,
+appear only where a linear statement is checked (the commutator
+equivariance and ranks).
 """
 
 from operator import itemgetter
@@ -116,7 +117,8 @@ class Automorphism:
         self.source = source
 
     def __eq__(self, other):
-        return isinstance(other, Automorphism) and self.perm == other.perm
+        same_group = isinstance(other, Automorphism) and self.group is other.group
+        return same_group and self.perm == other.perm
 
     def __hash__(self):
         return hash(self.perm)
@@ -228,19 +230,19 @@ def _label_perm(group, fn, dst=None):
 
 
 def central_maps(group):
-    """One certified map g -> g*chi(gZ) per (V-bit, Z-basis) pair."""
-    meta = group.meta
-    try:
-        v_basis = meta["v_basis"]
-        z_basis = meta["z_basis"]
-    except KeyError:
-        raise Unsupported("group carries no V/Z basis tags") from None
+    """One certified map per pair (i, j), i < dim V, j < dim Z: x -> x*z_j
+    where bit i of vcoord[x] is set, else x, with z_j = members[1 << j].
+    They are x -> x d(x) for d running over a basis of Hom(V, Z). Raises
+    Unsupported when special_coords returns None."""
+    sc = special_coords(group)
+    if sc is None:
+        raise Unsupported("group is not special, or its generators are not a basis of G/Z")
+    mul, vcoord = group.mul, sc.vcoord
     out = []
-    for i in range(len(v_basis)):
-        for z in z_basis:
-            perm = _label_perm(
-                group, lambda lab, i=i, z=z: (lab[0], lab[1] ^ z) if (lab[0] >> i) & 1 else lab
-            )
+    for i in range(sc.dim_v):
+        for j in range(sc.dim_z):
+            z = sc.members[1 << j]
+            perm = [mul[x][z] if vcoord[x] >> i & 1 else x for x in range(group.n)]
             out.append(Automorphism(group, perm, "central"))
     return out
 
@@ -304,58 +306,54 @@ class FusionPartition:
 
     __slots__ = ("classes", "sizes")
 
-    def __init__(self, classes, npoints, orders=None):
-        classes = tuple(
-            tuple(sorted(c)) for c in sorted(classes, key=lambda c: min(c))
-        )
-        flat = [x for c in classes for x in c]
-        if sorted(flat) != list(range(npoints)):
-            raise NotBijective("classes do not partition the elements")
-        if orders is not None:
-            for c in classes:
-                if len({orders[x] for x in c}) > 1:
-                    raise NotAHomomorphism("fusion class mixes element orders")
-        self.classes = classes
-        self.sizes = tuple(sorted(len(c) for c in classes))
+    def __init__(self, classes):
+        self.classes = tuple(tuple(sorted(c)) for c in sorted(classes, key=min))
+        self.sizes = tuple(sorted(len(c) for c in self.classes))
+
+
+def _perms(group, auts):
+    """The perms of auts; NotAHomomorphism unless each is a map of group,
+    since a map of another group of the same order passes as a permutation."""
+    for a in auts:
+        if a.group is not group:
+            raise NotAHomomorphism("an automorphism of another group was passed")
+    return [a.perm for a in auts]
 
 
 def fusion_classes(group, auts):
-    parts = orbits([a.perm for a in auts], group.n)
-    orders = [group.element_order(x) for x in range(group.n)]
-    return FusionPartition(parts, group.n, orders)
+    return FusionPartition(orbits(_perms(group, auts), group.n))
 
 
 class SpecialCoords:
-    """The V and Z coordinates of a tagged special 2-group; see special_coords.
+    """The V and Z coordinates of a special 2-group; see special_coords.
 
     dim_v and dim_z are the GF(2) dimensions of V = G/Z and of Z, coord
     maps each member of Z to its coordinate, members lists Z in coordinate
-    order, and lift[v] is an element id in the central coset of V point v.
+    order, vcoord[x] is the V coordinate of element x, and lift[v] is an
+    element id in the central coset of V point v.
     """
 
-    __slots__ = ("group", "dim_v", "dim_z", "coord", "members", "lift")
+    __slots__ = ("group", "dim_v", "dim_z", "coord", "members", "vcoord", "lift")
 
-    def __init__(self, group, dim_v, coord):
+    def __init__(self, group, coord, vcoord, lift):
         self.group = group
-        self.dim_v = dim_v
+        self.dim_v = len(lift).bit_length() - 1
         self.dim_z = len(coord).bit_length() - 1
         self.coord = coord
         self.members = sorted(coord, key=coord.__getitem__)
-        by_a = {a: i for i, (a, _) in enumerate(group.labels)}
-        self.lift = [by_a[v] for v in range(1 << dim_v)]
+        self.vcoord = vcoord
+        self.lift = lift
 
     def points(self, perms):
         """The V points and the Z points of each permutation of element ids.
 
-        In the tagged families V point v is the a-part of a label, bit j
-        of v its coordinate j, and a central coset is the set of labels
-        with one a-part. So an automorphism sends v to the a-part of the
-        image of lift[v], and Z point c to the coordinate of the image of
-        members[c]. Both are the point permutations of the induced
-        GF(2)-linear maps.
+        An automorphism keeps Z = Z(G), so it permutes the central cosets:
+        it sends V point v to the coordinate of the image of lift[v], and
+        Z point c to the coordinate of the image of members[c]. Both are
+        the point permutations of the induced GF(2)-linear maps.
         """
-        labels, coord = self.group.labels, self.coord
-        v_points = [tuple(labels[p[x]][0] for x in self.lift) for p in perms]
+        vcoord, coord = self.vcoord, self.coord
+        v_points = [tuple(vcoord[p[x]] for x in self.lift) for p in perms]
         z_points = [tuple(coord[p[z]] for z in self.members) for p in perms]
         return v_points, z_points
 
@@ -370,36 +368,52 @@ class SpecialCoords:
 
 
 def special_coords(group):
-    """SpecialCoords of a special group whose v_basis tag fits, else None.
+    """SpecialCoords of a special group whose generators are a basis of V, else None.
 
     The group must be special, so Z = Z(G) = G' = Phi(G) is elementary
-    abelian, and 2^dim V * |Z| = |G| must hold for dim V the length of
-    the v_basis tag; dim Z is counted from the table. The coordinates of
-    Z, in the basis of generator commutators, are those of
-    FiniteGroup.special_center.
+    abelian and so is V = G/Z; Z keeps the coordinates of
+    FiniteGroup.special_center, in the basis of generator commutators.
+    It must also have 2^len(gens) * |Z| = |G|, that is len(gens) = dim V.
+    Then the generators map to a basis of V: they generate G, so their
+    images span V, and dim V vectors spanning a space of dimension dim V
+    are a basis. The coordinate map c: G -> V -> GF(2)^dim V in that basis
+    is a homomorphism with c(g_i) = 1 << i, so c(x g_i) = c(x) ^ (1 << i).
+    A breadth-first walk from id 0 along right multiplication by the
+    generators reaches every element, because the positive words in the
+    generators are all of G, and sets vcoord[x g_i] = vcoord[x] ^ (1 << i)
+    at the first visit. By induction along the walk that value is c(x g_i),
+    so every edge agrees with it and none is checked twice. lift[v] is the
+    first element the walk reaches in coset v; id 0's neighbours come
+    first, so lift[1 << i] is gens[i]. No label and no meta tag is read.
     """
-    if "v_basis" not in group.meta:
-        return None
     coord = group.special_center()
-    if coord is None:
+    if coord is None or (1 << len(group.gens)) * len(coord) != group.n:
         return None
-    dim_v = len(group.meta["v_basis"])
-    if (1 << dim_v) * len(coord) != group.n:
-        return None
-    return SpecialCoords(group, dim_v, coord)
+    mul, gens = group.mul, group.gens
+    vcoord = [0] + [None] * (group.n - 1)
+    walk = [0]
+    for x in walk:
+        row, v = mul[x], vcoord[x]
+        for i, g in enumerate(gens):
+            y = row[g]
+            if vcoord[y] is None:
+                vcoord[y] = v ^ (1 << i)
+                walk.append(y)
+    lift = [0] * (1 << len(gens))
+    for x in reversed(walk):
+        lift[vcoord[x]] = x
+    return SpecialCoords(group, coord, vcoord, lift)
 
 
 def aut_group_order(group, auts):
-    """Order of the permutation group the maps generate.
+    """Order of the permutation group the maps generate (1 for none).
 
     The exact-sequence count of _exact_sequence_order when it applies,
     else a Schreier-Sims chain on all group.n elements.
     """
-    if not auts:
-        return 1
     order = _exact_sequence_order(group, auts)
     if order is None:
-        order = StabChain([a.perm for a in auts], group.n).order()
+        order = StabChain(_perms(group, auts), group.n).order()
     return order
 
 
@@ -407,7 +421,7 @@ def _exact_sequence_order(group, auts):
     """|<auts>| = |Z|^dim V * |image on V| for a special group, else None.
 
     Applies when special_coords(group) does: a special 2-group whose
-    v_basis tag fits the table, 2^dim V * |Z| = |G|. Then Z = Z(G) = G' =
+    generators are a basis of V = G/Z, 2^len(gens) * |Z| = |G|. Then Z = Z(G) = G' =
     Phi(G) is characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel
     K = Hom(V, Z): an automorphism acting trivially on V is x -> x d(x)
     with d: G -> Z a homomorphism, which kills Phi(G) = Z because Z is
@@ -426,18 +440,19 @@ def _exact_sequence_order(group, auts):
     special_coords, as in verify_lemma31, and the image order from a
     chain on the 2^dim V points of V.
     """
+    perms = _perms(group, auts)
     sc = special_coords(group)
     if sc is None:
         return None
     mul, inv, coord, dim_z = group.mul, group.inv, sc.coord, sc.dim_z
     rows = []
-    for a in auts:
-        moves = [mul[inv[g]][a.perm[g]] for g in group.gens]
+    for p in perms:
+        moves = [mul[inv[g]][p[g]] for g in group.gens]
         if all(d in coord for d in moves):
             rows.append([(coord[d] >> j) & 1 for d in moves for j in range(dim_z)])
     if Matrix(GF2, rows).rank() != sc.dim_v * dim_z:
         return None
-    v_points = sc.points([a.perm for a in auts])[0]
+    v_points = sc.points(perms)[0]
     return len(coord) ** sc.dim_v * StabChain(v_points, 1 << sc.dim_v).order()
 
 
@@ -573,7 +588,7 @@ def verify_lemma31(group, auts=None):
         raise Unsupported(f"no known generator family for {family!r}")
     sc = special_coords(group)
     if sc is None:
-        raise Unsupported("group is not special, or its v_basis tag does not fit the table")
+        raise Unsupported("group is not special, or its generators are not a basis of G/Z")
 
     dim_v, dim_z = sc.dim_v, sc.dim_z
     checks = []
@@ -591,7 +606,7 @@ def verify_lemma31(group, auts=None):
     checks.append(_check("central_kernel_elementary_abelian", elementary, True))
 
     fp = fusion_classes(group, auts)
-    v_points, z_points = sc.points([a.perm for a in auts])
+    v_points, z_points = sc.points(_perms(group, auts))
     o_v = len(orbits(v_points, 1 << dim_v))
     o_m = len(orbits(z_points, 1 << dim_z))
     checks.append(_check("fusion_orbit_formula", len(fp.classes), o_v + o_m - 1, o_v=o_v, o_m=o_m))

@@ -25,9 +25,10 @@ Light's test (see groups.FiniteGroup._certified) and keep the identity,
 inverse and generation checks. The homocyclic and quaternion rules are
 associative by argument only, so their tables still get Light's test.
 
-Each builder tags the group's meta dict with the family name, the field
-context, and GF(2)-bases of V = N/Z (the a-part) and of Z (the b-part),
-which the automorphism machinery consumes.
+Each builder tags the group's meta dict with the family name and the
+field context. Generator i of a cocycle group has a-part 1 << i, so the
+generators are a basis of V = G/Z, which automorphisms.special_coords
+reads off the table.
 """
 
 from math import gcd
@@ -49,17 +50,6 @@ from .linalg import GF2, Matrix
 def theta_order(n, k):
     """Order of x -> x^(2^k) as a field automorphism of GF(2^n)."""
     return n // gcd(n, k % n) if k % n else 1
-
-
-def subfield_basis(ctx, elements):
-    """Greedy GF(2)-basis of a set of field elements, smallest first."""
-    basis = []
-    space = {0}
-    for x in sorted(elements):
-        if x and x not in space:
-            basis.append(x)
-            space |= {x ^ s for s in space}
-    return basis
 
 
 def _cocycle_rule(f):
@@ -111,9 +101,9 @@ def _check_biadditive(f, dim):
                 raise NotAGroup(f"cocycle is not biadditive at ({a}, {c})")
 
 
-def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
+def _cocycle_group(f, dim, order, meta, second=lambda a: 0):
     """Closure of the seeds (e, second(e)), e = 1 << i, i < dim, under the
-    cocycle rule of f, tagged with meta and the v_basis/z_basis bases.
+    cocycle rule of f, tagged with meta.
 
     f is certified biadditive before anything else runs (second included),
     so the rule meets the precondition of groups.closure, and closure is
@@ -123,14 +113,8 @@ def _cocycle_group(f, dim, z_basis, order, meta, second=lambda a: 0):
     closure whose order is not the given one raises NotAGroup.
     """
     _check_biadditive(f, dim)
-    basis = [1 << i for i in range(dim)]
-    g = closure(
-        [(e, second(e)) for e in basis],
-        _cocycle_rule(f),
-        (0, 0),
-        meta={**meta, "v_basis": basis, "z_basis": z_basis},
-        certified=True,
-    )
+    seeds = [(1 << i, second(1 << i)) for i in range(dim)]
+    g = closure(seeds, _cocycle_rule(f), (0, 0), meta=meta, certified=True)
     if g.order != order:
         raise NotAGroup(f"closure produced order {g.order}, not {order}")
     return g
@@ -147,7 +131,7 @@ def build_a2(n, k):
     mul = ctx.mul
     frob = [ctx.frobenius(x, k) for x in range(ctx.size)]
     return _cocycle_group(
-        lambda a, c: mul(a, frob[c]), n, [1 << i for i in range(n)], 1 << (2 * n),
+        lambda a, c: mul(a, frob[c]), n, 1 << (2 * n),
         {"family": "a2", "n": n, "k": k, "ctx": ctx},
     )
 
@@ -181,8 +165,7 @@ def build_b2(n):
     mul = ctx.mul
     frob = [ctx.frobenius(x, n) for x in range(ctx.size)]
     g = _cocycle_group(
-        lambda a, c: mul(a, frob[c]), 2 * n,
-        subfield_basis(ctx, ctx.subfield_elements(n)), 1 << (3 * n),
+        lambda a, c: mul(a, frob[c]), 2 * n, 1 << (3 * n),
         {"family": "b2", "n": n, "ctx": ctx},
         second=lambda a: _b2_solutions(ctx, n, a)[0],
     )
@@ -218,7 +201,7 @@ def build_p_epsilon(poly=PEPS_POLY, eps=None):
         )
     cocycle = _trace_cocycle(ctx, eps)
     return _cocycle_group(
-        lambda a, b: cocycle[a][b], 6, [1, ctx.pow(eps, 9), ctx.pow(eps, 18)], 512,
+        lambda a, b: cocycle[a][b], 6, 512,
         {"family": "peps", "poly": poly, "ctx": ctx, "eps": eps},
     )
 
@@ -339,13 +322,12 @@ def _z_value(zb, js):
 
 
 def _x_and_z_ids(group):
-    """Ids of x_i = (eps^(i-1), 0), i = 1..6, and of z_j = (0, zb[j-1])."""
+    """Ids of x_i = (eps^(i-1), 0), i = 1..6, and of z_j = (0, zb[j-1]),
+    and zb, zb[j-1] = eps^(9(j-1)) for j = 1..3."""
     ctx, eps = group.meta["ctx"], group.meta["eps"]
     index = {lab: i for i, lab in enumerate(group.labels)}
-    return (
-        [index[(ctx.pow(eps, i), 0)] for i in range(6)],
-        [index[(0, b)] for b in group.meta["z_basis"]],
-    )
+    zb = [ctx.pow(eps, 9 * j) for j in range(3)]
+    return [index[(ctx.pow(eps, i), 0)] for i in range(6)], [index[(0, b)] for b in zb], zb
 
 
 def check_p_epsilon_presentation(group):
@@ -359,12 +341,12 @@ def check_p_epsilon_presentation(group):
     Returns per-relation verdicts; a mismatch is reported, never
     corrected. Any other minimal polynomial raises BadEpsilon.
     """
-    ctx, eps, zb = (group.meta[k] for k in ("ctx", "eps", "z_basis"))
+    ctx, eps = group.meta["ctx"], group.meta["eps"]
     if ctx.minimal_polynomial(eps) != 0x5B:
         raise BadEpsilon(
             "relation list is specific to the minimal polynomial 0x5B"
         )
-    x, z = _x_and_z_ids(group)
+    x, z, zb = _x_and_z_ids(group)
     tables = p_epsilon_tables(group)
     labels = group.labels
     relations = []
@@ -406,8 +388,7 @@ def p_epsilon_tables(group):
     polynomial produce identical tables, which is the mechanical content
     of the uniqueness argument.
     """
-    x, _ = _x_and_z_ids(group)
-    zb = group.meta["z_basis"]
+    x, _, zb = _x_and_z_ids(group)
     words = {}
     for mask in range(8):
         js = tuple(j + 1 for j in range(3) if mask >> j & 1)

@@ -440,6 +440,8 @@ def random_subgroup_search(
         if predicate is None or predicate((ident, ident)):
             return ident, ident
         raise NotFound("trivial group rejected by predicate")
+    if not ambient_gens:
+        raise BadShape(f"no ambient generators for a subgroup of order {target_order}")
     rng = random.Random(seed)
     buf = [ambient_gens[i % len(ambient_gens)] for i in range(PR_BUFFER)]
 

@@ -373,9 +373,16 @@ def test_at_and_fif_on_quaternion_eight():
     assert is_at_group(q8, auts)
 
 
-def test_central_maps_require_family_tags():
+def test_central_maps_need_special_coords():
+    # Z4 x Z4 is abelian, so not special
     with pytest.raises(Unsupported):
-        central_maps(build_generalized_quaternion(8))
+        central_maps(build_family("hc:2:4"))
+    # Q8: V = Q8/Z has dimension 2 and |Z| = 2, so two maps; they
+    # generate Hom(V, Z) = Inn(Q8), of order 4
+    q8 = build_generalized_quaternion(8)
+    maps = central_maps(q8)
+    assert len(maps) == 2
+    assert StabChain([a.perm for a in maps], q8.n).order() == 4
 
 
 def test_induced_actions():
@@ -533,35 +540,58 @@ def test_missing_central_map_declines_and_fails_kernel_check():
     assert rep["all_passed"] is False
 
 
-def _retagged(g, auts, **tags):
-    """g with some meta tags replaced, and auts moved onto it."""
-    h = FiniteGroup(g.mul, g.gens, g.labels, {**g.meta, **tags})
-    return h, [Automorphism(h, a.perm, a.source) for a in auts]
-
-
-def test_short_v_basis_tag_declines_the_exact_sequence():
+def test_redundant_generator_declines_the_exact_sequence():
     g = build_a2(3, 1)
     auts = known_aut_generators(g)
-    h, moved = _retagged(g, auts, v_basis=g.meta["v_basis"][:-1])
+    # a fourth generator, the product of the first two: 2^4 * |Z| != |G|,
+    # so the generators are no longer a basis of V
+    gens = list(g.gens) + [g.mul[g.gens[0]][g.gens[1]]]
+    h = FiniteGroup(g.mul, gens, g.labels, g.meta)
+    moved = [Automorphism(h, a.perm, a.source) for a in auts]
     assert special_coords(h) is None
     with pytest.raises(Unsupported):
         verify_lemma31(h, moved)
+    with pytest.raises(Unsupported):
+        central_maps(h)
     # the full chain still gives the order
     assert _exact_sequence_order(h, moved) is None
     assert aut_group_order(h, moved) == aut_group_order(g, auts) == 10752
 
 
-def test_short_z_basis_tag_fails_the_kernel_check():
-    g = build_a2(3, 1)
-    h, moved = _retagged(g, known_aut_generators(g), z_basis=g.meta["z_basis"][:-1])
-    # dim Z is counted from the table, not from the tag
-    assert special_coords(h).dim_z == 3
-    assert verify_lemma31(h, moved)["all_passed"] is True
-    # central_maps reads the tag and builds 6 of the 9 kernel generators
-    rep = verify_lemma31(h)
-    kernel = next(c for c in rep["checks"] if c["name"] == "central_kernel_order")
-    assert (kernel["computed"], kernel["expected"]) == (64, 512)
-    assert rep["all_passed"] is False
+def test_exact_sequence_reads_v_off_the_table_alone():
+    # Q8 carries no tags, and its generators are a basis of V
+    q8 = build_family("q:8")
+    brute = brute_force_aut(q8)
+    assert _exact_sequence_order(q8, brute) == len(brute) == 24
+    assert StabChain([a.perm for a in brute], q8.n).order() == 24
+    # renaming every label changes nothing
+    h = FiniteGroup(q8.mul, q8.gens, [("x", i) for i in range(q8.n)])
+    moved = [Automorphism(h, a.perm) for a in brute]
+    assert _exact_sequence_order(h, moved) == 24
+
+
+def test_maps_of_another_group_are_refused():
+    # Z8 has order 8 like Q8, and every automorphism of Q8 is a
+    # permutation of its ids, but |Aut(Z8)| = 4
+    z8 = build_family("hc:1:8")
+    q8_auts = brute_force_aut(build_family("q:8"))
+    for consume in (aut_group_order, _exact_sequence_order, fusion_classes):
+        with pytest.raises(NotAHomomorphism, match="another group"):
+            consume(z8, q8_auts)
+    a2 = build_a2(3, 1)
+    with pytest.raises(NotAHomomorphism, match="another group"):
+        verify_lemma31(a2, known_aut_generators(build_a2(3, 1)))
+    assert aut_group_order(z8, brute_force_aut(z8)) == 4
+
+
+def test_equal_perms_of_different_groups_differ():
+    q8, z8 = build_family("q:8"), build_family("hc:1:8")
+    ident_q8 = Automorphism(q8, range(8))
+    ident_z8 = Automorphism(z8, range(8))
+    assert ident_q8.perm == ident_z8.perm
+    assert ident_q8 != ident_z8
+    assert len({ident_q8, ident_z8}) == 2
+    assert ident_q8 == Automorphism(q8, range(8))
 
 
 def test_column_and_pairs_certificates_agree():
@@ -634,7 +664,28 @@ def test_certificate_catches_one_bad_generator_row():
 
 
 # The matrix route the point actions replaced: lifts by first a-part,
-# Z coordinates solved in the z_basis tag, points by applying matrices.
+# Z coordinates solved in a label basis of the b-parts, points by
+# applying matrices. The label bases are built here, from the labels.
+
+
+def label_basis(values):
+    """Greedy GF(2) basis of a set of label parts, smallest first."""
+    basis, space = [], {0}
+    for x in sorted(values):
+        if x not in space:
+            basis.append(x)
+            space |= {x ^ s for s in space}
+    return basis
+
+
+def old_v_basis(group):
+    """Label basis of the a-parts, V = G/Z."""
+    return label_basis({a for a, _ in group.labels})
+
+
+def old_z_basis(group):
+    """Label basis of the b-parts of the elements (0, b), Z."""
+    return label_basis({b for a, b in group.labels if a == 0})
 
 
 def old_lift_ids(group):
@@ -647,15 +698,16 @@ def old_lift_ids(group):
 
 def old_z_coords(group, value):
     width = group.meta["ctx"].n
-    zmat = Matrix(GF2, [[(z >> j) & 1 for j in range(width)] for z in group.meta["z_basis"]])
+    zmat = Matrix(GF2, [[(z >> j) & 1 for j in range(width)] for z in old_z_basis(group)])
     return list(zmat.solve(tuple((value >> j) & 1 for j in range(width))))
 
 
 def old_quotient_matrix(group, aut):
     lift = old_lift_ids(group)
-    dim = len(group.meta["v_basis"])
+    v_basis = old_v_basis(group)
+    dim = len(v_basis)
     rows = []
-    for v in group.meta["v_basis"]:
+    for v in v_basis:
         a = group.labels[aut.perm[lift[v]]][0]
         rows.append([(a >> j) & 1 for j in range(dim)])
     return Matrix(GF2, rows)
@@ -667,13 +719,13 @@ def old_center_matrix(group, aut):
         GF2,
         [
             old_z_coords(group, group.labels[aut.perm[index[(0, z)]]][1])
-            for z in group.meta["z_basis"]
+            for z in old_z_basis(group)
         ],
     )
 
 
 def old_commutator_matrix(group):
-    v_basis = group.meta["v_basis"]
+    v_basis = old_v_basis(group)
     lift = old_lift_ids(group)
     return Matrix(
         GF2,
@@ -703,12 +755,12 @@ def family_with_auts(request):
 
 def test_point_actions_match_the_matrix_route(family_with_auts):
     g, auts = family_with_auts
-    dim_v, dim_z = len(g.meta["v_basis"]), len(g.meta["z_basis"])
+    dim_v, dim_z = len(old_v_basis(g)), len(old_z_basis(g))
     sc = special_coords(g)
     v_points, z_points = sc.points([a.perm for a in auts])
     assert v_points == [matrix_points(old_quotient_matrix(g, a), dim_v) for a in auts]
     # the Z points are in the table-derived basis: T sends table coordinate
-    # 1 << k to the z_basis coordinates of the member it numbers, so each
+    # 1 << k to the old_z_basis coordinates of the member it numbers, so each
     # new matrix M is the old one conjugated, M T = T M_old
     t = Matrix(GF2, [old_z_coords(g, g.labels[sc.members[1 << k]][1]) for k in range(dim_z)])
     for a, vp, zp in zip(auts, v_points, z_points):
@@ -721,7 +773,7 @@ def test_point_actions_match_the_matrix_route(family_with_auts):
 
 def test_lemma31_values_match_the_matrix_route(family_with_auts):
     g, auts = family_with_auts
-    dim_v, dim_z = len(g.meta["v_basis"]), len(g.meta["z_basis"])
+    dim_v, dim_z = len(old_v_basis(g)), len(old_z_basis(g))
     v_mats = [old_quotient_matrix(g, a) for a in auts]
     z_mats = [old_center_matrix(g, a) for a in auts]
     cmat = old_commutator_matrix(g)

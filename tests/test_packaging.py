@@ -93,3 +93,11 @@ def test_only_permgrp_and_repmod_name_the_unvalidated_orbit_walk():
     # _trusted_orbits skips validation; other modules walk certified
     # points through repmod.point_orbits and anything else through orbit
     assert uses_outside(("permgrp", "repmod"), ("_trusted_orbits",)) == []
+
+
+def test_only_automorphisms_and_permgrp_name_their_unchecked_entries():
+    # Automorphism._product wraps a permutation without the certificate,
+    # and StabChain._add skips validating the generator it strips; each
+    # is trusted only inside the module that argues its precondition
+    assert uses_outside(("automorphisms",), ("_product",)) == []
+    assert uses_outside(("permgrp",), ("_add",)) == []

@@ -432,6 +432,14 @@ def test_random_search_trivial_target():
     assert p == q == identity_perm(4)
 
 
+def test_random_search_without_generators():
+    # the trivial group is the only subgroup, so order 1 is found and any
+    # larger order is refused before the replacement buffer is filled
+    assert random_subgroup_search([], 1, None, 1, npoints=3) == (identity_perm(3),) * 2
+    with pytest.raises(BadShape, match="no ambient generators"):
+        random_subgroup_search([], 2, None, 1, npoints=3)
+
+
 def test_random_search_finds_a4_in_s4():
     def is_a4(pair):
         chain = StabChain(list(pair), 4)
