@@ -26,12 +26,11 @@ on all elements otherwise. A brute-force search doubles as an
 independent oracle for small groups, and the fusion/orbit machinery
 feeds the verification scenarios.
 
-special_coords reads the coordinates of V = G/Z and of Z off the table
-alone, for a special group whose generators are a basis of V; the
-central maps, the exact-sequence count and verify_lemma31 take them from
-there. The actions a map induces on V and on Z are point permutations,
-read in one pass per map; orbit counts and the image order in GL(V) use
-them directly. Matrices, built from the images of the unit points,
+The central maps, the exact-sequence count and verify_lemma31 read the
+V = G/Z and Z coordinates of FiniteGroup.special through _v_coords. The
+actions a map induces on V and on Z are point permutations, read in one
+pass per map by Special.points; orbit counts and the image order in GL(V)
+use them directly. Matrices, built from the images of the unit points,
 appear only where a linear statement is checked (the commutator
 equivariance and ranks).
 """
@@ -233,10 +232,8 @@ def central_maps(group):
     """One certified map per pair (i, j), i < dim V, j < dim Z: x -> x*z_j
     where bit i of vcoord[x] is set, else x, with z_j = members[1 << j].
     They are x -> x d(x) for d running over a basis of Hom(V, Z). Raises
-    Unsupported when special_coords returns None."""
-    sc = special_coords(group)
-    if sc is None:
-        raise Unsupported("group is not special, or its generators are not a basis of G/Z")
+    Unsupported as _v_coords does."""
+    sc = _v_coords(group)
     mul, vcoord = group.mul, sc.vcoord
     out = []
     for i in range(sc.dim_v):
@@ -324,85 +321,23 @@ def fusion_classes(group, auts):
     return FusionPartition(orbits(_perms(group, auts), group.n))
 
 
-class SpecialCoords:
-    """The V and Z coordinates of a special 2-group; see special_coords.
-
-    dim_v and dim_z are the GF(2) dimensions of V = G/Z and of Z, coord
-    maps each member of Z to its coordinate, members lists Z in coordinate
-    order, vcoord[x] is the V coordinate of element x, and lift[v] is an
-    element id in the central coset of V point v.
-    """
-
-    __slots__ = ("group", "dim_v", "dim_z", "coord", "members", "vcoord", "lift")
-
-    def __init__(self, group, coord, vcoord, lift):
-        self.group = group
-        self.dim_v = len(lift).bit_length() - 1
-        self.dim_z = len(coord).bit_length() - 1
-        self.coord = coord
-        self.members = sorted(coord, key=coord.__getitem__)
-        self.vcoord = vcoord
-        self.lift = lift
-
-    def points(self, perms):
-        """The V points and the Z points of each permutation of element ids.
-
-        An automorphism keeps Z = Z(G), so it permutes the central cosets:
-        it sends V point v to the coordinate of the image of lift[v], and
-        Z point c to the coordinate of the image of members[c]. Both are
-        the point permutations of the induced GF(2)-linear maps.
-        """
-        vcoord, coord = self.vcoord, self.coord
-        v_points = [tuple(vcoord[p[x]] for x in self.lift) for p in perms]
-        z_points = [tuple(coord[p[z]] for z in self.members) for p in perms]
-        return v_points, z_points
-
-    def commutator_matrix(self):
-        """GF(2) matrix of the commutator map from the wedge basis of V into Z."""
-        comm, lift, coord = self.group.commutator, self.lift, self.coord
-        rows = []
-        for i, j in wedge_pairs(self.dim_v):
-            c = coord[comm(lift[1 << i], lift[1 << j])]
-            rows.append([(c >> k) & 1 for k in range(self.dim_z)])
-        return Matrix(GF2, rows)
+def _v_coords(group):
+    """group.special() if the group is special with its generators a basis of V."""
+    sc = group.special()
+    if sc is None or sc.vcoord is None:
+        raise Unsupported("group is not special, or its generators are not a basis of G/Z")
+    return sc
 
 
-def special_coords(group):
-    """SpecialCoords of a special group whose generators are a basis of V, else None.
-
-    The group must be special, so Z = Z(G) = G' = Phi(G) is elementary
-    abelian and so is V = G/Z; Z keeps the coordinates of
-    FiniteGroup.special_center, in the basis of generator commutators.
-    It must also have 2^len(gens) * |Z| = |G|, that is len(gens) = dim V.
-    Then the generators map to a basis of V: they generate G, so their
-    images span V, and dim V vectors spanning a space of dimension dim V
-    are a basis. The coordinate map c: G -> V -> GF(2)^dim V in that basis
-    is a homomorphism with c(g_i) = 1 << i, so c(x g_i) = c(x) ^ (1 << i).
-    A breadth-first walk from id 0 along right multiplication by the
-    generators reaches every element, because the positive words in the
-    generators are all of G, and sets vcoord[x g_i] = vcoord[x] ^ (1 << i)
-    at the first visit. By induction along the walk that value is c(x g_i),
-    so every edge agrees with it and none is checked twice. lift[v] is the
-    first element the walk reaches in coset v; id 0's neighbours come
-    first, so lift[1 << i] is gens[i]. No label and no meta tag is read.
-    """
-    coord = group.special_center()
-    if coord is None or (1 << len(group.gens)) * len(coord) != group.n:
-        return None
-    mul, gens = group.mul, group.gens
-    vcoord = [0] + [None] * (group.n - 1)
-    walk = [0]
-    for x in walk:
-        row, v = mul[x], vcoord[x]
-        for i, g in enumerate(gens):
-            y = row[g]
-            if vcoord[y] is None:
-                vcoord[y] = v ^ (1 << i)
-                walk.append(y)
-    lift = [0] * (1 << len(gens))
-    for x in reversed(walk):
-        lift[vcoord[x]] = x
-    return SpecialCoords(group, coord, vcoord, lift)
+def commutator_matrix(group):
+    """GF(2) matrix of the commutator map from the wedge basis of V into Z."""
+    sc = _v_coords(group)
+    comm, lift, coord = group.commutator, sc.lift, sc.coord
+    rows = []
+    for i, j in wedge_pairs(sc.dim_v):
+        c = coord[comm(lift[1 << i], lift[1 << j])]
+        rows.append([(c >> k) & 1 for k in range(sc.dim_z)])
+    return Matrix(GF2, rows)
 
 
 def aut_group_order(group, auts):
@@ -420,9 +355,9 @@ def aut_group_order(group, auts):
 def _exact_sequence_order(group, auts):
     """|<auts>| = |Z|^dim V * |image on V| for a special group, else None.
 
-    Applies when special_coords(group) does: a special 2-group whose
-    generators are a basis of V = G/Z, 2^len(gens) * |Z| = |G|. Then Z = Z(G) = G' =
-    Phi(G) is characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel
+    Applies when _v_coords(group) does: a special 2-group whose
+    generators are a basis of V = G/Z. Then Z = Z(G) = G' = Phi(G) is
+    characteristic, V = G/Z, and Aut(G) -> GL(V) has kernel
     K = Hom(V, Z): an automorphism acting trivially on V is x -> x d(x)
     with d: G -> Z a homomorphism, which kills Phi(G) = Z because Z is
     elementary abelian; conversely every d in Hom(V, Z) gives such a
@@ -437,12 +372,13 @@ def _exact_sequence_order(group, auts):
     K exactly when their vectors have GF(2) rank dim V * dim Z, and then
     |<auts> & K| = |Z|^dim V. Any other case returns None, and the caller
     runs the full chain. The Z coordinates and the V points come from
-    special_coords, as in verify_lemma31, and the image order from a
-    chain on the 2^dim V points of V.
+    _v_coords, as in verify_lemma31, and the image order from a chain on
+    the 2^dim V points of V.
     """
     perms = _perms(group, auts)
-    sc = special_coords(group)
-    if sc is None:
+    try:
+        sc = _v_coords(group)
+    except Unsupported:
         return None
     mul, inv, coord, dim_z = group.mul, group.inv, sc.coord, sc.dim_z
     rows = []
@@ -586,9 +522,7 @@ def verify_lemma31(group, auts=None):
     family = group.meta.get("family")
     if family not in _FAMILY_MAPS:
         raise Unsupported(f"no known generator family for {family!r}")
-    sc = special_coords(group)
-    if sc is None:
-        raise Unsupported("group is not special, or its generators are not a basis of G/Z")
+    sc = _v_coords(group)
 
     dim_v, dim_z = sc.dim_v, sc.dim_z
     checks = []
@@ -611,7 +545,7 @@ def verify_lemma31(group, auts=None):
     o_m = len(orbits(z_points, 1 << dim_z))
     checks.append(_check("fusion_orbit_formula", len(fp.classes), o_v + o_m - 1, o_v=o_v, o_m=o_m))
 
-    cmat = sc.commutator_matrix()
+    cmat = commutator_matrix(group)
     bad = sum(
         1
         for vp, zp in zip(v_points, z_points)

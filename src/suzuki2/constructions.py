@@ -27,8 +27,8 @@ associative by argument only, so their tables still get Light's test.
 
 Each builder tags the group's meta dict with the family name and the
 field context. Generator i of a cocycle group has a-part 1 << i, so the
-generators are a basis of V = G/Z, which automorphisms.special_coords
-reads off the table.
+generators are a basis of V = G/Z, which FiniteGroup.special reads off
+the table.
 """
 
 from math import gcd

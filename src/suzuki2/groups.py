@@ -18,9 +18,10 @@ quaternion closures and any table passed to FiniteGroup(...) included,
 gets Light's test.
 
 Beyond the table a group answers element orders, commutators, its
-center, and whether it is special: special_center decides that in one
-pass over the table and returns the GF(2) coordinates of Z(G) that the
-automorphism layer reads. No subgroup objects are built.
+center, and its special structure: FiniteGroup.special decides in one
+pass over the table whether G is special and, computed once, gives the
+GF(2) coordinates of Z(G) and of G/Z that the automorphism layer reads.
+No subgroup objects are built.
 """
 
 from math import gcd, lcm
@@ -34,7 +35,7 @@ ORDER_CAP = 4096
 class FiniteGroup:
     """Immutable multiplication-table group; ids are 0..n-1, identity 0."""
 
-    __slots__ = ("mul", "inv", "gens", "labels", "n", "meta", "_orders")
+    __slots__ = ("mul", "inv", "gens", "labels", "n", "meta", "_orders", "_special")
 
     def __init__(self, mul, gens, labels=None, meta=None):
         self._store(mul, gens, labels, meta)
@@ -51,6 +52,7 @@ class FiniteGroup:
             raise NotAGroup("label count mismatch")
         self.meta = dict(meta) if meta else {}
         self._orders = None
+        self._special = False  # unbuilt; special() fills it once, as mul and gens never change
 
     @classmethod
     def _certified(cls, mul, gens, labels=None, meta=None):
@@ -185,8 +187,8 @@ class FiniteGroup:
             x for x in range(self.n) if all(mul[x][g] == mul[g][x] for g in self.gens)
         )
 
-    def special_center(self):
-        """GF(2) coordinates of Z = Z(G) when G is special, else None.
+    def special(self):
+        """The Special structure of G, or None; built once, on first use.
 
         Special means a nonabelian 2-group with Z(G) = G' = Phi(G)
         elementary abelian. Three checks on the table decide it: |G| > 1,
@@ -212,7 +214,21 @@ class FiniteGroup:
         commutator c outside it adds w*c with coordinate coord[w] | 2^k
         for every reached w. So c becomes basis vector k. As G' <= Z, the
         two are equal exactly when their orders are.
+
+        V = G/Z gets coordinates when 2^len(gens) * |Z| = |G|: then the
+        generators, which span V, are a basis, and the coordinate map c
+        has c(x g_i) = c(x) ^ (1 << i). A breadth-first walk from id 0
+        along the generators reaches all of G and sets vcoord[x g_i] =
+        vcoord[x] ^ (1 << i) at the first visit, which is c(x g_i) by
+        induction; lift[v] is the first element reached in coset v, so
+        lift[1 << i] is gens[i]. No label or meta tag is read.
         """
+        if self._special is False:
+            self._special = self._special_structure()
+        return self._special
+
+    def _special_structure(self):
+        """What special() returns, computed; see its docstring."""
         if self.n == 1:
             return None
         mul, gens = self.mul, self.gens
@@ -225,11 +241,61 @@ class FiniteGroup:
                 c = self.commutator(g, h)
                 if c not in coord:
                     coord.update({mul[w][c]: k | len(coord) for w, k in list(coord.items())})
-        return coord if len(coord) == len(central) else None
+        if len(coord) != len(central):
+            return None
+        if (1 << len(gens)) * len(coord) != self.n:
+            return Special(coord)
+        vcoord = [0] + [None] * (self.n - 1)
+        walk = [0]
+        for x in walk:
+            row, v = mul[x], vcoord[x]
+            for i, g in enumerate(gens):
+                y = row[g]
+                if vcoord[y] is None:
+                    vcoord[y] = v ^ (1 << i)
+                    walk.append(y)
+        lift = [0] * (1 << len(gens))
+        for x in reversed(walk):
+            lift[vcoord[x]] = x
+        return Special(coord, vcoord, lift)
 
     def is_special_2group(self):
-        """Whether G is special; see special_center."""
-        return self.special_center() is not None
+        """Whether G is special; see special."""
+        return self.special() is not None
+
+
+class Special:
+    """The V and Z coordinates of a special 2-group; see FiniteGroup.special.
+
+    coord maps each member of Z = Z(G) to its GF(2) coordinate, members
+    lists Z in coordinate order, vcoord[x] is the V coordinate of element
+    x, and lift[v] is an element id in the central coset of V point v.
+    dim_z and dim_v are the dimensions of Z and V = G/Z. The V fields are
+    None when the generators are not a basis of V.
+    """
+
+    __slots__ = ("coord", "members", "dim_z", "vcoord", "lift", "dim_v")
+
+    def __init__(self, coord, vcoord=None, lift=None):
+        self.coord = coord
+        self.members = sorted(coord, key=coord.__getitem__)
+        self.dim_z = len(coord).bit_length() - 1
+        self.vcoord = vcoord
+        self.lift = lift
+        self.dim_v = None if lift is None else len(lift).bit_length() - 1
+
+    def points(self, perms):
+        """The V points and the Z points of each permutation of element ids.
+
+        An automorphism keeps Z = Z(G), so it permutes the central cosets:
+        it sends V point v to the coordinate of the image of lift[v], and
+        Z point c to the coordinate of the image of members[c]. Both are
+        the point permutations of the induced GF(2)-linear maps.
+        """
+        vcoord, coord = self.vcoord, self.coord
+        v_points = [tuple(vcoord[p[x]] for x in self.lift) for p in perms]
+        z_points = [tuple(coord[p[z]] for z in self.members) for p in perms]
+        return v_points, z_points
 
 
 def closure(seeds, mul_rule, identity, cap=ORDER_CAP, meta=None, certified=False):

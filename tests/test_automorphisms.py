@@ -21,7 +21,7 @@ from suzuki2.constructions import (
 )
 from suzuki2 import automorphisms
 from suzuki2.gf2n import FieldContext
-from suzuki2.groups import FiniteGroup
+from suzuki2.groups import FiniteGroup, Special
 from suzuki2.linalg import GF2, Matrix, point_matrix, wedge_pairs
 from suzuki2.permgrp import StabChain, compose, invert, orbits
 from suzuki2.automorphisms import (
@@ -33,12 +33,12 @@ from suzuki2.automorphisms import (
     aut_group_order,
     brute_force_aut,
     central_maps,
+    commutator_matrix,
     find_isomorphism,
     fusion_classes,
     is_at_group,
     isomorphism_from_labels,
     known_aut_generators,
-    special_coords,
     verify_lemma31,
 )
 
@@ -388,7 +388,7 @@ def test_central_maps_need_special_coords():
 def test_induced_actions():
     g = build_a2(3, 1)
     auts = known_aut_generators(g)
-    sc = special_coords(g)
+    sc = g.special()
     v_points, z_points = sc.points([a.perm for a in auts])
     ident = Matrix.identity(GF2, 3)
     # central maps act trivially on both quotient and center
@@ -403,11 +403,11 @@ def test_induced_actions():
 
 def test_commutator_matrix_shape_and_rank():
     g = build_a2(3, 1)
-    c = special_coords(g).commutator_matrix()
+    c = commutator_matrix(g)
     assert (c.nrows, c.ncols) == (3, 3)
     assert c.rank() == 3
     b = build_b2(2)
-    cb = special_coords(b).commutator_matrix()
+    cb = commutator_matrix(b)
     assert (cb.nrows, cb.ncols) == (6, 2)
     assert cb.rank() == 2
 
@@ -548,7 +548,9 @@ def test_redundant_generator_declines_the_exact_sequence():
     gens = list(g.gens) + [g.mul[g.gens[0]][g.gens[1]]]
     h = FiniteGroup(g.mul, gens, g.labels, g.meta)
     moved = [Automorphism(h, a.perm, a.source) for a in auts]
-    assert special_coords(h) is None
+    assert h.special() is not None and h.special().vcoord is None
+    with pytest.raises(Unsupported):
+        commutator_matrix(h)
     with pytest.raises(Unsupported):
         verify_lemma31(h, moved)
     with pytest.raises(Unsupported):
@@ -756,7 +758,7 @@ def family_with_auts(request):
 def test_point_actions_match_the_matrix_route(family_with_auts):
     g, auts = family_with_auts
     dim_v, dim_z = len(old_v_basis(g)), len(old_z_basis(g))
-    sc = special_coords(g)
+    sc = g.special()
     v_points, z_points = sc.points([a.perm for a in auts])
     assert v_points == [matrix_points(old_quotient_matrix(g, a), dim_v) for a in auts]
     # the Z points are in the table-derived basis: T sends table coordinate
@@ -768,7 +770,7 @@ def test_point_actions_match_the_matrix_route(family_with_auts):
         assert matrix_points(m, dim_z) == zp
         assert m * t == t * old_center_matrix(g, a)
         assert point_matrix(vp, dim_v) == old_quotient_matrix(g, a)
-    assert sc.commutator_matrix() * t == old_commutator_matrix(g)
+    assert commutator_matrix(g) * t == old_commutator_matrix(g)
 
 
 def test_lemma31_values_match_the_matrix_route(family_with_auts):
@@ -789,13 +791,13 @@ def test_lemma31_values_match_the_matrix_route(family_with_auts):
 
 
 def test_lemma31_fails_when_the_center_points_are_wrong(monkeypatch):
-    real = automorphisms.SpecialCoords.points
+    real = Special.points
 
     def identity_on_center(sc, perms):
         v_points, z_points = real(sc, perms)
         return v_points, [tuple(range(len(zp))) for zp in z_points]
 
-    monkeypatch.setattr(automorphisms.SpecialCoords, "points", identity_on_center)
+    monkeypatch.setattr(Special, "points", identity_on_center)
     rep = verify_lemma31(build_a2(3, 1))
     checks = {c["name"]: c for c in rep["checks"]}
     assert checks["fusion_orbit_formula"]["o_m"] == 8

@@ -65,8 +65,12 @@ def test_a2_structure():
     assert sorted(g.labels[i] for i in z) == [(0, b) for b in range(8)]
     assert g.is_special_2group()
     assert g.exponent() == 4
-    # special_center numbers G', the span of the generator commutators
-    assert sorted(g.special_center()) == list(z)
+    # special() numbers G', the span of the generator commutators, and
+    # reads V = G/Z in the generator basis
+    sp = g.special()
+    assert sorted(sp.coord) == list(z)
+    assert (sp.dim_v, sp.dim_z) == (3, 3)
+    assert [sp.lift[1 << i] for i in range(3)] == list(g.gens)
     assert g.involution_count() == len(z) - 1
 
 

@@ -91,7 +91,7 @@ def build_z4_squared():
 
 
 # The former subgroup-closure definition of "special", kept as the oracle
-# for FiniteGroup.special_center. Subgroups are frozensets of ids.
+# for FiniteGroup.special. Subgroups are frozensets of ids.
 
 
 def generated(g, seeds):
@@ -281,7 +281,7 @@ ORACLE_GROUPS = {
     "trivial": lambda: closure([], lambda a, b: 0, 0),
 }
 
-# The checks of special_center each group fails, read with the oracle's
+# The checks of FiniteGroup.special each group fails, read with the oracle's
 # subgroups: "order" |G| > 1, "squares" every square central, "derived"
 # G' = Z(G). Each check fails alone on some group. Q16, Q32 and S3 fail
 # "derived" too, but there G' is not central, so the doubling assumes
@@ -317,15 +317,49 @@ def failed_checks(g):
 def test_special_center_agrees_with_the_closure_oracle(name):
     g = ORACLE_GROUPS[name]()
     assert failed_checks(g) == FAILED_CHECKS[name]
-    coord = g.special_center()
-    assert (coord is not None) == oracle_is_special(g) == (FAILED_CHECKS[name] == [])
-    assert g.is_special_2group() == (coord is not None)
-    if coord is not None:
-        # a GF(2)-linear numbering of Z(G) by 0 .. |Z| - 1
-        mul = g.mul
-        assert sorted(coord) == list(g.center())
-        assert sorted(coord.values()) == list(range(len(coord)))
-        assert all(coord[mul[a][b]] == coord[a] ^ coord[b] for a in coord for b in coord)
+    sp = g.special()
+    assert (sp is not None) == oracle_is_special(g) == (FAILED_CHECKS[name] == [])
+    assert g.is_special_2group() == (sp is not None)
+    if sp is None:
+        return
+    # a GF(2)-linear numbering of Z(G) by 0 .. |Z| - 1
+    mul, coord, n = g.mul, sp.coord, g.order
+    assert sorted(coord) == list(g.center())
+    assert sorted(coord.values()) == list(range(len(coord)))
+    assert all(coord[mul[a][b]] == coord[a] ^ coord[b] for a in coord for b in coord)
+    assert [coord[z] for z in sp.members] == list(range(len(coord)))
+    assert len(coord) == 1 << sp.dim_z
+    # every special group here has its generators as a basis of V
+    assert (1 << len(g.gens)) * len(coord) == n
+    # vcoord is a homomorphism onto GF(2)^dim V with kernel exactly Z,
+    # and lift[v] lies in coset v
+    vcoord = sp.vcoord
+    assert (1 << sp.dim_v) * len(coord) == n
+    assert all(vcoord[mul[x][y]] == vcoord[x] ^ vcoord[y] for x in range(n) for y in range(n))
+    assert set(vcoord) == set(range(1 << sp.dim_v))
+    assert [x for x in range(n) if vcoord[x] == 0] == list(g.center())
+    assert len(sp.lift) == 1 << sp.dim_v
+    assert all(vcoord[x] == v for v, x in enumerate(sp.lift))
+
+
+def test_special_is_built_once_per_group():
+    g = constructions.build_a2(3, 1)
+    sp = g.special()
+    assert sp is not None and g.special() is sp
+    # the same table with a redundant fourth generator: still special, but
+    # 2^4 * |Z| != |G|, so its generators are not a basis of V. It gets a
+    # structure of its own, which a cache keyed by the table would share.
+    gens = list(g.gens) + [g.mul[g.gens[0]][g.gens[1]]]
+    h = FiniteGroup(g.mul, gens, g.labels, g.meta)
+    assert h.mul == g.mul
+    hp = h.special()
+    assert hp is not sp and h.special() is hp
+    assert (hp.vcoord, hp.lift, hp.dim_v) == (None, None, None)
+    assert (hp.coord, hp.members, hp.dim_z) == (sp.coord, sp.members, sp.dim_z)
+    assert sp.vcoord is not None and sp.dim_v == 3
+    # a group that is not special caches None and keeps it
+    q16 = ORACLE_GROUPS["q:16"]()
+    assert q16.special() is None and q16.special() is None
 
 
 # commutative loop with two-sided inverses that is not associative:

@@ -101,3 +101,10 @@ def test_only_automorphisms_and_permgrp_name_their_unchecked_entries():
     # is trusted only inside the module that argues its precondition
     assert uses_outside(("automorphisms",), ("_product",)) == []
     assert uses_outside(("permgrp",), ("_add",)) == []
+
+
+def test_only_groups_names_the_special_cache():
+    # FiniteGroup.special computes the structure once and caches it in
+    # _special; a module that wrote the slot or called the builder could
+    # leave a structure that disagrees with the table
+    assert uses_outside(("groups",), ("_special", "_special_structure")) == []

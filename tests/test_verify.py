@@ -10,6 +10,7 @@ import pytest
 from suzuki2 import verify
 from suzuki2.catalog import data_directory, entry_path, load_entry, sp4_natural_module
 from suzuki2.errors import BadFormat, Unsupported
+from suzuki2.groups import FiniteGroup
 from suzuki2.linalg import Matrix, Subspace
 from suzuki2.permgrp import orbit
 from suzuki2.repmod import (
@@ -128,6 +129,20 @@ def test_small_eliminations_corrupted_data(tmp_path):
     assert "catalog discover a6" in r["claims"][0]["computed"]
 
 
+def test_small_eliminations_rejects_another_entrys_file(tmp_path):
+    # a6.txt under a7's name loads and verifies against its own trailer,
+    # but its n and order are a6's, not the ones SPORADICS records for a7
+    shutil.copy(data_directory() / "a6.txt", tmp_path / "a7.txt")
+    r = verify.run_small_eliminations("a7", data_dir=tmp_path)
+    assert r["verdict"] == "fail"
+    assert [c["id"] for c in r["claims"]] == ["data-file"]
+    claim = r["claims"][0]
+    assert claim["statement"] == "entry data file a7.txt loads"
+    assert claim["status"] == "fail"
+    assert "{'n': 4, 'order': 360}, not a7's {'n': 4, 'order': 2520}" in claim["computed"]
+    assert "catalog discover a7" in claim["computed"]
+
+
 def test_sl2_omega():
     r = verify.run_sl2_omega()
     assert r["verdict"] == "pass"
@@ -212,6 +227,22 @@ def test_suzuki_suite_slow():
     assert c["homocyclic-at"]["computed"] is True
     assert c["quaternion-unique-involution"]["computed"] == 1
     assert c["classification-citations"]["status"] == "trusted-citation"
+
+
+def test_suite_builds_each_special_structure_once(monkeypatch):
+    # each family's group computes its structure on first use and every
+    # later reader (the -special claim, the central maps, the exact
+    # sequence, Lemma 3.1) gets the cached one
+    built = []
+    real = FiniteGroup._special_structure
+
+    def counting(group):
+        built.append(group.n)
+        return real(group)
+
+    monkeypatch.setattr(FiniteGroup, "_special_structure", counting)
+    assert verify.run_suzuki_suite()["verdict"] == "pass"
+    assert built == [64, 1024, 64, 512]
 
 
 def test_reports_byte_identical():
