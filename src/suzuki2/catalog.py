@@ -28,11 +28,12 @@ from .gf2n import FieldContext
 from .linalg import GF2, Matrix, point_matrix, read_matrix, skip_comments
 from .permgrp import (
     DEFAULT_BUDGET,
+    compose,
     derived_series,
     orbit,
     random_subgroup_search,
 )
-from .repmod import GModule, point_permutations
+from .repmod import GModule, _unpack, point_permutations
 
 
 def gamma_l1_order(n):
@@ -58,12 +59,14 @@ class CatalogEntry:
 
     expected holds the classical invariants {order, transitive, solvable,
     class}; verified flips to True only after verify_entry has recomputed
-    all of them from the generators.
+    all of them from the generators. container, ("gamma_l1", 1, n),
+    ("sl", m, f) or ("sp4", 4, f), names a classical group claimed to
+    hold the generators; verify_entry re-checks it before using its order.
     """
 
-    __slots__ = ("name", "n", "generators", "expected", "verified", "provenance")
+    __slots__ = ("name", "n", "generators", "expected", "verified", "provenance", "container")
 
-    def __init__(self, name, n, generators, expected, provenance=None):
+    def __init__(self, name, n, generators, expected, provenance=None, container=None):
         self.name = name
         self.n = n
         self.generators = tuple(generators)
@@ -75,6 +78,7 @@ class CatalogEntry:
         self.expected = dict(expected)
         self.verified = False
         self.provenance = dict(provenance) if provenance else None
+        self.container = container
 
     def module(self):
         return GModule.from_matrices(self.generators)
@@ -108,7 +112,7 @@ def entry_gamma_l1(n):
         "solvable": True,
         "class": "i",
     }
-    return CatalogEntry(f"gamma_l1_{n}", n, gens, expected)
+    return CatalogEntry(f"gamma_l1_{n}", n, gens, expected, container=("gamma_l1", 1, n))
 
 
 def sl_natural_module(m, f):
@@ -141,7 +145,7 @@ def entry_sl(m, f):
         "solvable": (m, f) == (2, 1),
         "class": "iii",
     }
-    return CatalogEntry(f"sl{m}_gf{q}", m * f, gens, expected)
+    return CatalogEntry(f"sl{m}_gf{q}", m * f, gens, expected, container=("sl", m, f))
 
 
 def antidiagonal_form(ctx, d):
@@ -214,7 +218,7 @@ def entry_sp4(f):
         "solvable": False,
         "class": "iii",
     }
-    return CatalogEntry(f"sp4_gf{q}", 4 * f, gens, expected)
+    return CatalogEntry(f"sp4_gf{q}", 4 * f, gens, expected, container=("sp4", 4, f))
 
 
 def sp6_generators():
@@ -227,6 +231,43 @@ def sp6_generators():
     return gens
 
 
+def _containment_bounds(entry, perms):
+    """(|H|, a bound on |G'|) once every generator is shown to lie in the
+    group H that entry.container names, else (None, None).
+
+    S is the point map of t*I on GF(q)^m, q = 2^f. A GF(2)-linear g with
+    compose(S, g) = compose(g, S^(2^k)) has g(tv) = t^(2^k) g(v), so
+    g(av) = a^(2^k) g(v) for all a in GF(q) = GF(2)[t]. For k = 0, g is
+    GF(q)-linear: G <= GL_m(q) and G' <= SL_m(q). In dimension 1 any k
+    gives G <= GammaL1(q) and G' <= GL1(q), as GammaL1(q)/GL1(q) is
+    abelian. An sp4 generator's GF(q) matrix, row i the image of the unit
+    point of coordinate i, must also preserve the form.
+    """
+    family, m, f = entry.container or (None, 0, 0)
+    if m * f != entry.n or (family, m) not in (("gamma_l1", 1), ("sl", m), ("sp4", 4)):
+        return None, None
+    ctx = FieldContext(f)
+    q = 1 << f
+    scalar = Matrix(ctx, [[ctx.t if i == j else 0 for j in range(m)] for i in range(m)])
+    powers = point_permutations(GModule.from_matrices([scalar]))
+    for _ in range(1, f if family == "gamma_l1" else 1):
+        powers.append(compose(powers[-1], powers[-1]))
+    for g in perms:
+        sg = compose(powers[0], g)
+        if not any(sg == compose(g, p) for p in powers):
+            return None, None
+    if family == "gamma_l1":
+        return gamma_l1_order(f), q - 1
+    if family == "sl":
+        return (q - 1) * sl_order(m, q), sl_order(m, q)
+    mats = [Matrix(ctx, [_unpack(f, m, g[1 << f * i]) for i in range(m)]) for g in perms]
+    try:
+        require_symplectic(mats, antidiagonal_form(ctx, m))
+    except NotSymplectic:
+        return None, None
+    return sp_order(m // 2, q), sp_order(m // 2, q)
+
+
 def verify_entry(entry):
     """Recompute order, transitivity, solvability; mark verified on match.
 
@@ -237,14 +278,22 @@ def verify_entry(entry):
     as <G', gens> = G; so its order is |G| exactly. For a perfect group
     each add is only a membership strip, and G's own chain, the costly
     one at large orders, is never built from its generators.
+
+    When the generators are shown to lie in the classical group H that
+    the entry names (_containment_bounds, from the generators alone and
+    never from entry.expected), the chain of G' stops testing Schreier
+    pairs at the bound on |G'| and that of G at |H|; StabChain.bound
+    proves the stops exact. Otherwise the chains run unbounded.
     Transitivity is read off the public orbit; validating the maps costs
     one set per generator, next to nothing beside the chain.
     """
     perms = entry.point_perms()
     npts = 1 << entry.n
-    series = derived_series(perms, npts)
+    bound, derived_bound = _containment_bounds(entry, perms)
+    series = derived_series(perms, npts, derived_bound)
     solvable = series[-1].order() == 1
     chain = series[0]
+    chain.bound = bound
     for g in perms:
         chain.add(g)
     computed = {
@@ -348,6 +397,17 @@ def load_entry(path):
         raise BadFormat(f"{path.name}: no generator matrices")
     expected["class"] = "ii"
     return CatalogEntry(path.stem, gens[0].nrows, gens, expected, provenance or None)
+
+
+def load_sporadic(name, data_dir=None):
+    """load_entry of a SPORADICS name's data file; BadFormat if its n or
+    trailer order is not the one SPORADICS records (another entry's file)."""
+    path = entry_path(name, data_dir)
+    entry = load_entry(path)
+    have = {"n": entry.n, "order": entry.expected["order"]}
+    if have != SPORADICS[name]:
+        raise BadFormat(f"{path.name} holds {have}, not {name}'s {SPORADICS[name]}")
+    return entry
 
 
 SPORADICS = {

@@ -119,7 +119,7 @@ def _entry_from_name(name):
     except ValueError:
         raise Unsupported(f"bad catalog name {name!r}") from None
     if name in catalog.SPORADICS:
-        return catalog.load_entry(catalog.entry_path(name))
+        return catalog.load_sporadic(name)
     raise Unsupported(
         f"unknown catalog name {name!r}; families are gamma_l1:<n>, sl:<m>:<f>, "
         f"sp4:<f>; sporadics are {sorted(catalog.SPORADICS)}"

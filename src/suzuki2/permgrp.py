@@ -18,7 +18,10 @@ constructor adds its generators one at a time to the empty chain, as
 normal_closure and catalog.verify_entry do with theirs. Base points are
 always the smallest point moved by the permutation that forces them,
 orbits grow in BFS insertion order, and transversals are extend-only,
-so identical generator lists reproduce identical chains.
+so identical generator lists reproduce identical chains. A caller that
+has proven the group inside some H may set StabChain.bound = |H|, and
+the chain stops testing Schreier pairs at that order; the class
+docstring proves that it is then the chain built without the bound.
 """
 
 import random
@@ -240,9 +243,23 @@ class StabChain:
     construction, where the loop continues too. So the skipped pairs are
     exactly ones that leave the chain as it was, and the chain equals the
     one that tests every pair.
+
+    Stopping at a proven order. bound, None by default, may be set to
+    |H| for a group H that the caller has proven to contain G = <gens>;
+    _complete then stops testing pairs once order() == bound. The strong
+    generators of level l lie in G and fix base[:l], so the level's
+    orbit lies in the basic orbit of base[l] under G_(base[:l]), and
+    order(), the product of the orbit lengths, is at most
+    |G : G_(base)| <= |G| <= |H|. At equality every orbit is a full
+    basic orbit and G_(base) = 1, so every element of G strips to the
+    identity: the chain is complete, and every pair left untested would
+    sift its sigma to the identity and change nothing. The chain with a
+    bound is therefore the chain without it, _tested included.
     """
 
-    __slots__ = ("npoints", "gens", "base", "strong", "inverses", "trans", "_tested", "_id")
+    __slots__ = (
+        "npoints", "gens", "base", "strong", "inverses", "trans", "bound", "_tested", "_id"
+    )
 
     def __init__(self, gens, npoints=None):
         gens = [tuple(g) for g in gens]
@@ -258,6 +275,7 @@ class StabChain:
         self.strong = []
         self.inverses = []
         self.trans = []
+        self.bound = None
         self._tested = []
         for g in gens:
             self._add(g)
@@ -314,6 +332,8 @@ class StabChain:
         edges = extend_transversal(trans, gens, self.inverses[level])
         old_points, old_gens = self._tested[level]
         self._tested[level] = (len(trans), len(gens))
+        if self.order() == self.bound:
+            return
         for k, b in enumerate(list(trans)):
             w = trans[b]
             for i in range(old_gens if k < old_points else 0, len(gens)):
@@ -328,6 +348,8 @@ class StabChain:
                 if stuck == len(self.base) and q == w:
                     continue
                 self._absorb(compose(invert(w), q), stuck, level)
+                if self.order() == self.bound:
+                    return
 
     def add(self, g):
         """Extend the group by g; False, changing nothing, if g is a member."""
@@ -364,7 +386,7 @@ class StabChain:
         return f"StabChain(order={self.order()}, base={self.base})"
 
 
-def normal_closure(group_gens, seed_perms, npoints):
+def normal_closure(group_gens, seed_perms, npoints, bound=None):
     """Generators and chain of the smallest normal subgroup containing seeds.
 
     One chain grows by add() without its check: each seed or conjugate
@@ -372,12 +394,15 @@ def normal_closure(group_gens, seed_perms, npoints):
     conjugates by the group generators are queued. The group generators
     and the seeds are validated once, here; a queued conjugate g^-1 d g is
     a product of validated permutations, so it is a permutation too.
+    bound, if given, is the caller's proven bound on the closure's order
+    (StabChain.bound).
     """
     group_gens = [tuple(g) for g in group_gens]
     for g in group_gens:
         validate_permutation(g, npoints)
     inverses = [invert(g) for g in group_gens]
     chain = StabChain([], npoints)
+    chain.bound = bound
     queue = [tuple(p) for p in seed_perms]
     for d in queue:
         validate_permutation(d, npoints)
@@ -388,7 +413,7 @@ def normal_closure(group_gens, seed_perms, npoints):
     return list(chain.gens), chain
 
 
-def derived_series(gens, npoints=None):
+def derived_series(gens, npoints=None, bound=None):
     """Successive derived terms, starting at the first, until they stabilize.
 
     Each term D' is a subgroup of the term D before it, so D' = D exactly
@@ -401,6 +426,9 @@ def derived_series(gens, npoints=None):
     ordered pairs, in the same order, normal_closure would meet each
     [b, a] after [a, b] and skip it as a member, so it returns the same
     generators from these seeds alone.
+
+    bound, if given, is a proven bound on |G'| for the first term's chain
+    (StabChain.bound); later terms have none.
     """
     npoints = _point_count(gens, npoints)
     series = []
@@ -415,7 +443,8 @@ def derived_series(gens, npoints=None):
                 if c not in seen:
                     seen.add(c)
                     comms.append(c)
-        dgens, dchain = normal_closure(current, comms, npoints)
+        dgens, dchain = normal_closure(current, comms, npoints, bound)
+        bound = None
         series.append(dchain)
         if dchain.order() == 1 or all(dchain.contains(g) for g in current):
             return series

@@ -38,7 +38,7 @@ from .catalog import (
     data_directory,
     entry_path,
     entry_sp4,
-    load_entry,
+    load_sporadic,
     sl_natural_module,
     sp4_natural_module,
     verify_entry,
@@ -274,10 +274,7 @@ def run_small_eliminations(entry, data_dir=None):
         raise Unsupported(f"unknown entry {entry!r}; know {sorted(SPORADICS)}")
     path = entry_path(entry, data_dir)
     try:
-        cat = load_entry(path)
-        have = {"n": cat.n, "order": cat.expected["order"]}
-        if have != SPORADICS[entry]:
-            raise BadFormat(f"{path.name} holds {have}, not {entry}'s {SPORADICS[entry]}")
+        cat = load_sporadic(entry, data_dir)
     except (OSError, ToolkitError) as exc:
         claims = [
             _claim(

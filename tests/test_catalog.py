@@ -1,12 +1,15 @@
 """Catalog entries: family generators, verification, data files, discovery."""
 
 import math
+import random
 
 import pytest
 
+from suzuki2 import catalog, permgrp
 from suzuki2.catalog import (
     SPORADICS,
     CatalogEntry,
+    _containment_bounds,
     antidiagonal_form,
     data_directory,
     discover_entry,
@@ -37,7 +40,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix
-from suzuki2.permgrp import StabChain, orbit
+from suzuki2.permgrp import StabChain, compose, derived_series, invert, orbit
 from suzuki2.repmod import GModule, point_permutations
 
 
@@ -157,6 +160,150 @@ def test_verify_entry_order_equals_a_chain_built_from_the_generators(name):
     entry = ORDER_ENTRIES[name]()
     perms = entry.point_perms()
     assert computed(verify_entry(entry), "order") == StabChain(perms, len(perms[0])).order()
+
+
+BOUNDED_ENTRIES = {
+    "sl:2:5": (lambda: entry_sl(2, 5), (31 * 32736, 32736)),
+    "gamma_l1:10": (lambda: entry_gamma_l1(10), (10230, 1023)),
+    "sp4:2": (lambda: entry_sp4(2), (979200, 979200)),
+}
+
+
+def with_generator(entry, extra):
+    """entry with one more generator, keeping its expected values and its
+    container claim."""
+    gens = list(entry.generators) + [extra]
+    return CatalogEntry(entry.name, entry.n, gens, entry.expected, container=entry.container)
+
+
+@pytest.mark.parametrize("name", BOUNDED_ENTRIES)
+def test_containment_certificate_accepts_the_family_generators(name):
+    make, bounds = BOUNDED_ENTRIES[name]
+    entry = make()
+    assert _containment_bounds(entry, entry.point_perms()) == bounds
+
+
+def test_containment_certificate_needs_a_claim_of_the_right_size():
+    entry = entry_sl(2, 5)
+    perms = entry.point_perms()
+    entry.container = None
+    assert _containment_bounds(entry, perms) == (None, None)
+    # a claim whose shape does not match the points, or that names a
+    # group in another dimension than its family allows, is declined
+    for claim in (("sl", 2, 4), ("gamma_l1", 2, 5), ("sp4", 2, 5), ("gl", 2, 5)):
+        entry.container = claim
+        assert _containment_bounds(entry, perms) == (None, None)
+
+
+def verify_entry_chain(monkeypatch, entry):
+    """The report of verify_entry, the chain of G it built and the bound
+    it gave the chain of G'."""
+    series, bounds = [], []
+    real = catalog.derived_series
+
+    def recording(perms, npoints, bound):
+        bounds.append(bound)
+        series.extend(real(perms, npoints, bound))
+        return series
+
+    monkeypatch.setattr(catalog, "derived_series", recording)
+    report = verify_entry(entry)
+    monkeypatch.undo()
+    return report, series[0], bounds[0]
+
+
+def test_bound_is_never_read_from_expected(monkeypatch):
+    # 2046 is an order the chain of SL2(32) passes on its way up, so a chain
+    # that took it as its bound would stop there
+    entry = entry_sl(2, 5)
+    perms = entry.point_perms()
+    assert derived_series(perms, 1024, 2046)[0].order() == 2046
+    entry.expected["order"] = 2046
+    report, chain, derived_bound = verify_entry_chain(monkeypatch, entry)
+    assert (chain.bound, derived_bound) == (31 * 32736, 32736)
+    assert computed(report, "order") == 32736
+    assert report["passed"] is False
+
+
+def coordinatewise_frobenius(m, f):
+    fr = frobenius_matrix(FieldContext(f)).rows
+    d = m * f
+    return Matrix(
+        GF2, [[fr[r % f][c % f] if r // f == c // f else 0 for c in range(d)] for r in range(d)]
+    )
+
+
+def test_semilinear_generator_declines_the_sl_certificate():
+    entry = with_generator(entry_sl(2, 5), coordinatewise_frobenius(2, 5))
+    assert _containment_bounds(entry, entry.point_perms()) == (None, None)
+    report = verify_entry(entry)
+    # SigmaL2(32) = SL2(32):5, found by the unbounded chain
+    assert computed(report, "order") == 5 * 32736 == 163_680
+    assert report["passed"] is False
+
+
+def test_nonsymplectic_generator_declines_the_sp4_certificate():
+    ctx = FieldContext(2)
+    shear = Matrix(ctx, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotSymplectic):
+        require_symplectic([shear], antidiagonal_form(ctx, 4))
+    entry = with_generator(entry_sp4(2), shear.blowup())
+    perms = entry.point_perms()
+    # the shear commutes with the scalar t, so only the form test declines it
+    scalar = Matrix(ctx, [[ctx.t if i == j else 0 for j in range(4)] for i in range(4)])
+    (s,) = point_permutations(GModule.from_matrices([scalar]))
+    assert compose(s, perms[-1]) == compose(perms[-1], s)
+    assert _containment_bounds(entry, perms) == (None, None)
+
+
+@pytest.mark.parametrize("name", BOUNDED_ENTRIES)
+def test_bounded_chain_answers_membership_like_the_unbounded_one(monkeypatch, name):
+    make, (bound, _) = BOUNDED_ENTRIES[name]
+    entry = make()
+    report, bounded, _ = verify_entry_chain(monkeypatch, entry)
+    assert report["passed"] and bounded.bound == bound
+    perms = entry.point_perms()
+    oracle = StabChain(perms)
+    rng = random.Random(29)
+    npts = len(perms[0])
+    members = []
+    for _ in range(20):
+        p = tuple(range(npts))
+        for _ in range(rng.randrange(1, 12)):
+            g = rng.choice(perms)
+            p = compose(p, g if rng.randrange(2) else invert(g))
+        members.append(p)
+    for p in members:
+        assert bounded.contains(p) and oracle.contains(p)
+    # swapping the images of two nonzero points keeps 0 fixed but is not linear
+    outsider = list(members[0])
+    outsider[1], outsider[2] = outsider[2], outsider[1]
+    assert not bounded.contains(outsider) and not oracle.contains(outsider)
+
+
+def count_compositions(monkeypatch, run):
+    calls = [0]
+    real = permgrp.compose
+
+    def counting(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(permgrp, "compose", counting)
+    monkeypatch.setattr(catalog, "compose", counting)
+    out = run()
+    monkeypatch.undo()
+    return out, calls[0]
+
+
+@pytest.mark.parametrize("name, limit", [("sl:2:5", 1300), ("gamma_l1:10", 1100)])
+def test_verify_entry_stops_at_the_certified_order(monkeypatch, name, limit):
+    # the unbounded chains take about 3,000 compositions on these entries;
+    # the certificate's own compositions are counted too
+    entry = BOUNDED_ENTRIES[name][0]()
+    report, calls = count_compositions(monkeypatch, lambda: verify_entry(entry))
+    assert report["passed"]
+    assert calls <= limit
 
 
 def test_sp4_bounds():

@@ -219,13 +219,30 @@ def test_catalog_verify_ok(capsys):
 
 
 def test_catalog_verify_mismatch(capsys, tmp_path, monkeypatch):
-    doctored = catalog.entry_path("a6").read_text().replace("order=360", "order=169")
+    # the trailer's n and order are checked against SPORADICS on loading,
+    # so the recomputation is contradicted through the solvable flag
+    doctored = catalog.entry_path("a6").read_text().replace("solvable=0", "solvable=1")
     (tmp_path / "a6.txt").write_text(doctored)
     monkeypatch.setenv("SUZUKI2_DATA", str(tmp_path))
     code, out, _ = run(capsys, ["catalog", "verify", "a6"])
     assert code == 1
-    assert "MISMATCH" in out
+    assert "solvable: expected True computed False MISMATCH" in out
     assert "verification FAILED" in out
+
+
+def test_catalog_verify_refuses_a_file_that_is_not_the_entry(capsys, tmp_path, monkeypatch):
+    # a6.txt verifies against its own trailer, so under a7's name it would
+    # print "verified"; its n and order are not the ones SPORADICS records
+    # for a7, and neither is a doctored trailer order
+    a6 = catalog.entry_path("a6").read_text()
+    (tmp_path / "a7.txt").write_text(a6)
+    (tmp_path / "a6.txt").write_text(a6.replace("order=360", "order=169"))
+    monkeypatch.setenv("SUZUKI2_DATA", str(tmp_path))
+    for name, have in (("a7", "'order': 360"), ("a6", "'order': 169")):
+        code, out, err = run(capsys, ["catalog", "verify", name])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{name}.txt holds {{'n': 4, {have}}}" in err
 
 
 def test_catalog_unknown_name(capsys):

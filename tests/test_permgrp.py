@@ -723,6 +723,45 @@ def test_sl2_32_chain_inverts_once_per_strong_generator_and_residue(monkeypatch)
     assert oracle_calls > allowed(oracle)
 
 
+def built_with_bound(monkeypatch, perms, bound):
+    """The chain of add(g) for each generator under this bound, and the
+    number of compositions it took."""
+    calls = []
+    real = permgrp.compose
+
+    def counting(p, q):
+        calls.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(permgrp, "compose", counting)
+    chain = StabChain([], len(perms[0]))
+    chain.bound = bound
+    for g in perms:
+        chain.add(g)
+    monkeypatch.undo()
+    return chain, len(calls)
+
+
+@pytest.mark.parametrize("name", ENTRY_PERMS)
+def test_a_proven_bound_stops_early_and_leaves_the_chain_as_it_was(monkeypatch, name):
+    # |G| from the unbounded chain is a proven bound for G itself
+    perms = ENTRY_PERMS[name]()
+    oracle, full = built_with_bound(monkeypatch, perms, None)
+    bounded, calls = built_with_bound(monkeypatch, perms, oracle.order())
+    assert chain_data(bounded) == chain_data(oracle)
+    assert bounded._tested == oracle._tested
+    assert calls <= full
+    if name in ("sl:2:5", "gamma_l1:10"):
+        assert 2 * calls < full
+
+
+def test_a_bound_the_chain_passes_stops_it_there(monkeypatch):
+    # the bound carries no proof of its own: SL2(32)'s chain passes order
+    # 2046 inside one completion, and stops there if told to
+    short, _ = built_with_bound(monkeypatch, entry_sl(2, 5).point_perms(), 2046)
+    assert short.order() == 2046
+
+
 def test_sl2_32_chain_forms_each_schreier_generator_once(monkeypatch):
     """q = compose(s, w_{b^s}) is formed once per (level, point, generator)
     and never for a tree edge of the transversal, whose q is w_b."""
