@@ -44,7 +44,7 @@ from .errors import (
     TooLargeForBruteForce,
     Unsupported,
 )
-from .linalg import GF2, Matrix, point_matrix, wedge_pairs
+from .linalg import GF2, Matrix, echelon, pack, point_matrix, unpack, wedge_pairs
 from .permgrp import (
     StabChain,
     compose,
@@ -333,11 +333,8 @@ def commutator_matrix(group):
     """GF(2) matrix of the commutator map from the wedge basis of V into Z."""
     sc = _v_coords(group)
     comm, lift, coord = group.commutator, sc.lift, sc.coord
-    rows = []
-    for i, j in wedge_pairs(sc.dim_v):
-        c = coord[comm(lift[1 << i], lift[1 << j])]
-        rows.append([(c >> k) & 1 for k in range(sc.dim_z)])
-    return Matrix(GF2, rows)
+    rows = [coord[comm(lift[1 << i], lift[1 << j])] for i, j in wedge_pairs(sc.dim_v)]
+    return Matrix(GF2, [unpack(c, sc.dim_z) for c in rows])
 
 
 def aut_group_order(group, auts):
@@ -369,7 +366,8 @@ def _exact_sequence_order(group, auts):
     displacements. The displacement vector over the generators is
     therefore GF(2)-additive, and injective because a homomorphism is
     fixed by its values on generators. The maps in K thus generate all of
-    K exactly when their vectors have GF(2) rank dim V * dim Z, and then
+    K exactly when their vectors, packed one dim Z block per generator,
+    have GF(2) rank dim V * dim Z, and then
     |<auts> & K| = |Z|^dim V. Any other case returns None, and the caller
     runs the full chain. The Z coordinates and the V points come from
     _v_coords, as in verify_lemma31, and the image order from a chain on
@@ -385,8 +383,8 @@ def _exact_sequence_order(group, auts):
     for p in perms:
         moves = [mul[inv[g]][p[g]] for g in group.gens]
         if all(d in coord for d in moves):
-            rows.append([(coord[d] >> j) & 1 for d in moves for j in range(dim_z)])
-    if Matrix(GF2, rows).rank() != sc.dim_v * dim_z:
+            rows.append(pack([coord[d] for d in moves], dim_z))
+    if len(echelon(rows, sc.dim_v * dim_z)) != sc.dim_v * dim_z:
         return None
     v_points = sc.points(perms)[0]
     return len(coord) ** sc.dim_v * StabChain(v_points, 1 << sc.dim_v).order()

@@ -25,7 +25,7 @@ from .errors import (
     Unsupported,
 )
 from .gf2n import FieldContext
-from .linalg import GF2, Matrix, point_matrix, read_matrix, skip_comments
+from .linalg import GF2, Matrix, point_matrix, read_matrix, skip_comments, unpack
 from .permgrp import (
     DEFAULT_BUDGET,
     compose,
@@ -33,7 +33,7 @@ from .permgrp import (
     orbit,
     random_subgroup_search,
 )
-from .repmod import GModule, _unpack, point_permutations
+from .repmod import GModule, point_permutations
 
 
 def gamma_l1_order(n):
@@ -93,11 +93,7 @@ class CatalogEntry:
 
 def frobenius_matrix(ctx):
     """Squaring on GF(2^n) as an n x n GF(2) matrix in the power basis."""
-    rows = []
-    for i in range(ctx.n):
-        sq = ctx.frobenius(ctx.pow(ctx.t, i))
-        rows.append([(sq >> j) & 1 for j in range(ctx.n)])
-    return Matrix(GF2, rows)
+    return Matrix(GF2, [unpack(ctx.frobenius(ctx.pow(ctx.t, i)), ctx.n) for i in range(ctx.n)])
 
 
 def entry_gamma_l1(n):
@@ -260,7 +256,7 @@ def _containment_bounds(entry, perms):
         return gamma_l1_order(f), q - 1
     if family == "sl":
         return (q - 1) * sl_order(m, q), sl_order(m, q)
-    mats = [Matrix(ctx, [_unpack(f, m, g[1 << f * i]) for i in range(m)]) for g in perms]
+    mats = [Matrix(ctx, [unpack(g[1 << f * i], m, f) for i in range(m)]) for g in perms]
     try:
         require_symplectic(mats, antidiagonal_form(ctx, m))
     except NotSymplectic:

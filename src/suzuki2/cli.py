@@ -8,7 +8,9 @@ exit 2.
 
 Configuration files are line-based `key = value` text; `scenario` lines
 repeat, one per scenario, as `scenario = theorem-dual n=3`. Recognized
-keys: scenario, data_dir, results_dir, cache_dir, slow. A scenario-line
+keys: scenario, data_dir, results_dir, cache_dir, slow; only scenario
+may repeat, and a key or a scenario-line param given twice is an error
+(exit 2) rather than a value silently dropped. A scenario-line
 param or `verify --n/--f/--entry` flag that the scenario does not take is
 an error (exit 2), as is a missing one, a true/false value for a param
 whose default is not true/false, and any of those flags with `verify
@@ -65,6 +67,8 @@ def _parse_scenario_line(value):
         if "=" not in p:
             raise ToolkitError(f"scenario parameter {p!r} is not key=value")
         k, v = p.split("=", 1)
+        if k in params:
+            raise ToolkitError(f"scenario parameter {k!r} is given twice")
         params[k] = _parse_scalar(v)
     return name, params
 
@@ -81,6 +85,8 @@ def parse_config(path):
         if not sep:
             raise ToolkitError(f"expected `key = value`, got {raw!r}")
         key, value = key.strip(), value.strip()
+        if key in cfg:
+            raise ToolkitError(f"config key {key!r} is given twice")
         if key == "scenario":
             scenarios.append(_parse_scenario_line(value))
         elif key in ("data_dir", "results_dir", "cache_dir"):

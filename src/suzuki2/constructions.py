@@ -44,7 +44,6 @@ from .errors import (
 )
 from .gf2n import PEPS_POLY, FieldContext
 from .groups import ORDER_CAP, closure
-from .linalg import GF2, Matrix
 
 
 def theta_order(n, k):
@@ -136,25 +135,6 @@ def build_a2(n, k):
     )
 
 
-def _b2_solutions(ctx, n, a):
-    """All b with b + b^q = a^(1+q) in GF(q^2), q = 2^n, sorted."""
-    m = 2 * n
-    lmat = Matrix(
-        GF2,
-        [
-            [( (1 << i) ^ ctx.frobenius(1 << i, n) ) >> j & 1 for j in range(m)]
-            for i in range(m)
-        ],
-    )
-    rhs = ctx.mul(a, ctx.frobenius(a, n))
-    v = lmat.solve(tuple((rhs >> j) & 1 for j in range(m)))
-    b0 = 0
-    for i, bit in enumerate(v):
-        if bit:
-            b0 ^= 1 << i
-    return sorted(b0 ^ s for s in ctx.subfield_elements(n))
-
-
 def build_b2(n):
     """Unitary-constraint group of order 2^(3n) over GF(2^(2n))."""
     if n < 1:
@@ -164,13 +144,16 @@ def build_b2(n):
     ctx = FieldContext(2 * n)
     mul = ctx.mul
     frob = [ctx.frobenius(x, n) for x in range(ctx.size)]
+    # trace[b] = b + b^q maps GF(q^2) onto GF(q), which holds the norm
+    # a^(1+q), so index finds the smallest b meeting the constraint
+    trace = [b ^ frob[b] for b in range(ctx.size)]
     g = _cocycle_group(
         lambda a, c: mul(a, frob[c]), 2 * n, 1 << (3 * n),
         {"family": "b2", "n": n, "ctx": ctx},
-        second=lambda a: _b2_solutions(ctx, n, a)[0],
+        second=lambda a: trace.index(mul(a, frob[a])),
     )
     for a, b in g.labels:
-        if b ^ frob[b] ^ mul(a, frob[a]):
+        if trace[b] != mul(a, frob[a]):
             raise NotAGroup(f"element ({a}, {b}) violates the unitary constraint")
     return g
 

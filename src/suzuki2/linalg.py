@@ -10,13 +10,20 @@ Wedge basis for exterior squares: pairs (i, j) with i < j in
 lexicographic order. Restriction of scalars uses the power basis
 (1, t, ..., t^(f-1)) of GF(2^f) over GF(2).
 
+Packed vectors: pack(row, f) puts entry j of a row over GF(2^f) at bits
+[f*j, f*j + f) of one int, and unpack(mask, width, f) reads it back.
+Packing is GF(2)-linear, so XOR adds packed vectors, and a row packed
+over GF(2^f) is its restriction of scalars on the power basis. Every
+module converts through these two, and row-reduces packed GF(2) vectors
+through echelon(masks, bits).
+
 Over GF(2) the elimination routines pack rows into int bitmasks; over
-larger fields entries are kept per-cell. Semantics are identical. A row
-is packed and unpacked in C (bytes.translate with int() and format()),
-about 4x and 10x faster than loops over the bits of a 1,000-bit row, and
-kernel, solve and inverse pack each row once, with the identity block
-as its high bits (Matrix._augmented). decompose_lemma22 on the natural
-SL2(8) module took 0.18-0.21 s with this, against 0.23-0.28 s with
+larger fields entries are kept per-cell. Semantics are identical. A
+GF(2) row is packed and unpacked in C (bytes.translate with int() and
+format()), about 4x and 10x faster than loops over the bits of a
+1,000-bit row, and kernel, solve and inverse pack each row once, with
+the identity block as its high bits (Matrix._augmented).
+decompose_lemma22 on the natural SL2(8) module took 0.18-0.21 s with this, against 0.23-0.28 s with
 bit-by-bit conversion and a list identity block (min of 5 runs in each
 of 4 alternating pairs, 2 vCPU, CPython 3.11.7).
 
@@ -31,7 +38,7 @@ from .errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatr
 from .gf2n import FieldContext, poly_to_hex
 
 GF2 = FieldContext(1)
-# bytes.translate tables for _pack and _unpack: entry x of a GF(2) row
+# bytes.translate tables for pack and unpack over GF(2): entry x of a row
 # becomes the digit byte of "01"[x], and a digit byte becomes its bit
 _DIGITS = b"01" + b"\0" * 254
 _BITS = b"\0" * 48 + b"\0\1" + b"\0" * 206
@@ -43,12 +50,9 @@ def wedge_pairs(n):
 
 
 def point_matrix(points, dim):
-    """GF(2) matrix of a linear permutation of the 2^dim packed vectors.
-
-    Bit j of a point is coordinate j, so row i is the unpacked image of
-    the unit point 1 << i.
-    """
-    return Matrix(GF2, [[(points[1 << i] >> j) & 1 for j in range(dim)] for i in range(dim)])
+    """GF(2) matrix of a linear permutation of the 2^dim packed vectors:
+    row i is the unpacked image of the unit point 1 << i."""
+    return Matrix(GF2, [unpack(points[1 << i], dim) for i in range(dim)])
 
 
 class Matrix:
@@ -169,8 +173,8 @@ class Matrix:
         n, m = self.nrows, self.ncols
         red, pivots = self._augmented()
         if self.ctx.n == 1:
-            basis, _ = _rref_gf2([mask >> m for mask in red[len(pivots) :]], n)
-            return Matrix._of(self.ctx, [_unpack(mask, n) for mask in basis])
+            basis = echelon([mask >> m for mask in red[len(pivots) :]], n)
+            return Matrix._of(self.ctx, [unpack(mask, n) for mask in basis])
         basis, _ = _rref_rows(self.ctx, [row[m:] for row in red[len(pivots) :]], n)
         return Matrix._of(self.ctx, basis)
 
@@ -188,13 +192,13 @@ class Matrix:
         n, m = self.nrows, self.ncols
         red, pivots = self._augmented()
         if self.ctx.n == 1:
-            acc = _pack(b)
+            acc = pack(b)
             for mask, p in zip(red, pivots):
                 if acc >> p & 1:
                     acc ^= mask
             if acc & ((1 << m) - 1):
                 raise NoSolution("inconsistent linear system")
-            return _unpack(acc >> m, n)
+            return unpack(acc >> m, n)
         mul = self.ctx.mul
         rem = list(b)
         comb = [0] * n
@@ -219,7 +223,7 @@ class Matrix:
         if len(pivots) < n:
             raise SingularMatrix(f"rank {len(pivots)} < {n}")
         if self.ctx.n == 1:
-            return Matrix._of(self.ctx, [_unpack(mask >> n, n) for mask in red])
+            return Matrix._of(self.ctx, [unpack(mask >> n, n) for mask in red])
         return Matrix._of(self.ctx, [row[n:] for row in red])
 
     def _augmented(self):
@@ -235,7 +239,7 @@ class Matrix:
         """
         m, n = self.ncols, self.nrows
         if self.ctx.n == 1:
-            return _rref_gf2([_pack(r) | 1 << (m + i) for i, r in enumerate(self.rows)], m)
+            return _rref_gf2([pack(r) | 1 << (m + i) for i, r in enumerate(self.rows)], m)
         aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
         return _rref_rows(self.ctx, aug, m + n, stop_col=m)
 
@@ -277,22 +281,20 @@ class Matrix:
         """Restriction of scalars to GF(2) on the power basis (1, t, ...).
 
         Each entry a becomes the f x f GF(2) matrix whose row r holds the
-        coordinates of t^r * a; the result is (f*nrows) x (f*ncols).
+        coordinates of t^r * a, so row f*i + r of the (f*nrows) x (f*ncols)
+        result is t^r times row i, packed over GF(2^f), unpacked over GF(2).
         """
         ctx = self.ctx
         f = ctx.n
-        out = [[0] * (f * self.ncols) for _ in range(f * self.nrows)]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                v = a
-                for r in range(f):
-                    for c in range(f):
-                        if (v >> c) & 1:
-                            out[f * i + r][f * j + c] = 1
-                    v = ctx.mul(v, ctx.t) if r + 1 < f else v
-        return Matrix._of(GF2, out)
+        powers = [ctx.pow(ctx.t, r) for r in range(f)]
+        return Matrix._of(
+            GF2,
+            [
+                unpack(pack([ctx.mul(c, a) for a in row], f), f * self.ncols)
+                for row in self.rows
+                for c in powers
+            ],
+        )
 
     def to_text(self):
         """Serialize in the shared matrix text format."""
@@ -302,11 +304,7 @@ class Matrix:
             f"field {f} poly={poly_to_hex(self.ctx.poly)}",
             f"dim {self.nrows} {self.ncols}",
         ]
-        for row in self.rows:
-            packed = 0
-            for j, a in enumerate(row):
-                packed |= a << (f * j)
-            lines.append(format(packed, f"0{width}x"))
+        lines += [format(pack(row, f), f"0{width}x") for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -337,7 +335,6 @@ def read_matrix(lines, start):
     except (ValueError, IndexError) as exc:
         raise BadFormat(f"bad matrix header near line {idx - start + 1}") from exc
     ctx = FieldContext(f, poly)
-    mask = (1 << f) - 1
     rows = []
     idx += 2
     for _ in range(nrows):
@@ -349,7 +346,7 @@ def read_matrix(lines, start):
             raise BadFormat(f"bad row at line {idx - start + 1}") from exc
         if packed < 0 or packed >> (f * ncols):
             raise BadFormat(f"row at line {idx - start + 1} is out of range")
-        rows.append([(packed >> (f * j)) & mask for j in range(ncols)])
+        rows.append(unpack(packed, ncols, f))
         idx += 1
     return Matrix(ctx, rows), idx
 
@@ -363,9 +360,9 @@ def _rref_rows(ctx, rows, width, stop_col=None):
     if stop_col is None:
         stop_col = width
     if ctx.n == 1:
-        masks = [_pack(r) for r in rows]
+        masks = [pack(r) for r in rows]
         masks, pivots = _rref_gf2(masks, stop_col)
-        return [_unpack(m, width) for m in masks], pivots
+        return [unpack(m, width) for m in masks], pivots
     mul, inv = ctx.mul, ctx.inv
     pivots = []
     rank = 0
@@ -391,22 +388,40 @@ def _rref_rows(ctx, rows, width, stop_col=None):
     return rows, pivots
 
 
-def _pack(row):
-    """The GF(2) row as an int, bit j = row[j].
+def pack(row, f=1):
+    """The entries of a row over GF(2^f) as one int, entry j at bits
+    [f*j, f*j + f).
 
-    The reversed row, each entry mapped to its digit, is the binary
-    numeral of the mask, so bytes.translate and int() convert it in C;
-    an entry other than 0 or 1 maps to a byte int() rejects.
+    For f = 1 the reversed row, each entry mapped to its digit, is the
+    binary numeral of the mask, so bytes.translate and int() convert it in
+    C; an entry other than 0 or 1 maps to a byte int() rejects.
     """
-    return int(b"0" + bytes(row[::-1]).translate(_DIGITS), 2)
+    if f == 1:
+        return int(b"0" + bytes(row[::-1]).translate(_DIGITS), 2)
+    out = 0
+    for j, a in enumerate(row):
+        out |= a << (f * j)
+    return out
 
 
-def _unpack(mask, width):
-    """The low width bits of mask as a tuple, entry j = bit j: the binary
-    numeral of mask, reversed and mapped back from digits to bits."""
-    if not width:
-        return ()
-    return tuple(format(mask, f"0{width}b").encode()[::-1].translate(_BITS))
+def unpack(mask, width, f=1):
+    """The first width entries of a packed row over GF(2^f), as a tuple.
+
+    For f = 1 they are the binary numeral of mask, reversed, cut to width
+    digits and mapped back from digits to bits, all in C.
+    """
+    if f == 1:
+        return tuple(format(mask, f"0{width}b").encode()[::-1][:width].translate(_BITS))
+    low = (1 << f) - 1
+    return tuple(mask >> (f * j) & low for j in range(width))
+
+
+def echelon(masks, bits):
+    """The reduced echelon basis of the GF(2)-span of packed vectors below
+    2^bits, as a tuple: a span has exactly one, so equal tuples are equal
+    spans."""
+    masks, pivots = _rref_gf2(list(masks), bits)
+    return tuple(masks[: len(pivots)])
 
 
 def _rref_gf2(masks, stop_col):

@@ -24,7 +24,7 @@ from .errors import (
     Undecided,
     Unsupported,
 )
-from .linalg import GF2, Matrix, Subspace, _rref_gf2, read_matrix, skip_comments
+from .linalg import GF2, Matrix, Subspace, echelon, pack, read_matrix, skip_comments, unpack
 from .permgrp import _trusted_orbits
 
 _POINT_BITS = 16
@@ -225,24 +225,14 @@ def _unit_images(ctx, rows):
     k // n, and its image under v -> v M is that element times row k // n.
     """
     n = ctx.n
-    out = []
-    for row in rows:
-        for r in range(n):
-            c = 1 << r
-            b = 0
-            for j, a in enumerate(row):
-                if a:
-                    b |= ctx.mul(c, a) << (n * j)
-            out.append(b)
-    return out
+    return [pack([ctx.mul(1 << r, a) for a in row], n) for row in rows for r in range(n)]
 
 
 def point_permutations(module):
     """Each generator as a permutation of the packed points of the space.
 
-    Coordinate i of a vector occupies bits [n*i, n*i + n) of its point
-    number, so point 0 is the zero vector. Refuses spaces beyond 2^16
-    points.
+    A vector's point number is its packed row (linalg.pack), so point 0
+    is the zero vector. Refuses spaces beyond 2^16 points.
 
     Point numbering is GF(2)-linear, so the image of p is the XOR of the
     images of its bits, and the points below 2^(k+1) are those below 2^k,
@@ -261,7 +251,7 @@ def point_permutations(module):
     perms = []
     for sym in module.symbols:
         units = _unit_images(ctx, module.action[sym].rows)
-        if len(_echelon(units, bits)) < bits:
+        if len(echelon(units, bits)) < bits:
             raise SingularMatrix(f"generator {sym!r} does not permute the points")
         img = [0]
         for b in units:
@@ -279,19 +269,6 @@ def point_orbits(module, starts=None):
     """
     npoints = 1 << (module.ctx.n * module.dim)
     return _trusted_orbits(point_permutations(module), npoints, starts)
-
-
-def _unpack(n, d, p):
-    mask = (1 << n) - 1
-    return tuple((p >> (n * i)) & mask for i in range(d))
-
-
-def _echelon(vectors, bits):
-    """The reduced echelon basis of the GF(2)-span of int vectors below
-    2^bits, as a tuple: a span has exactly one, so equal tuples are equal
-    spans."""
-    masks, pivots = _rref_gf2(list(vectors), bits)
-    return tuple(masks[: len(pivots)])
 
 
 def _point_span(perms, scalar, p):
@@ -365,7 +342,7 @@ def _cyclic_spans(module):
         scalar = _unit_images(ctx, [[ctx.t if i == j else 0 for j in range(d)] for i in range(d)])
     seen = set()
     for orb in _trusted_orbits(perms, 1 << (n * d))[1:]:
-        span = _echelon(_point_span(perms, scalar, orb[0]), n * d)
+        span = echelon(_point_span(perms, scalar, orb[0]), n * d)
         if span not in seen:
             seen.add(span)
             yield span
@@ -459,7 +436,7 @@ def submodule_lattice(module):
     i = 0
     while i < len(members):
         for j in range(1, i):
-            s = _echelon(members[i] + members[j], n * d)
+            s = echelon(members[i] + members[j], n * d)
             if s not in index:
                 if len(members) >= _LATTICE_CAP:
                     raise Unsupported("submodule lattice has too many members")
@@ -467,7 +444,7 @@ def submodule_lattice(module):
                 members.append(s)
         i += 1
     return SubmoduleLattice(
-        module, [Subspace._of(ctx, [_unpack(n, d, b) for b in m], d) for m in members]
+        module, [Subspace._of(ctx, [unpack(b, d, n) for b in m], d) for m in members]
     )
 
 
@@ -635,7 +612,8 @@ def decompose_lemma22(u):
     U (x) twist(U, j), and for even f a half-size term whose double is the
     restricted U (x) twist(U, f/2). Summands are located in the submodule
     lattice by dimension, then confirmed by isomorphism; a mismatch is
-    reported, never patched.
+    reported, never patched. Each piece of a passing split carries its
+    subspace and its submodule_module, None otherwise.
     """
     f = u.ctx.n
     lam = exterior_square(restrict_scalars(u))
@@ -655,28 +633,28 @@ def decompose_lemma22(u):
         for w in lattice.of_dim(dim_):
             sub = submodule_module(lam, w)
             if is_isomorphic(direct_sum(sub, sub) if doubled else sub, target) is True:
-                found.append(w)
+                found.append((w, sub))
         candidates.append(found)
 
     chosen = None
     for pick in itertools.product(*candidates):
-        if sum(w.dim for w in pick) != lam.dim:
+        if sum(w.dim for w, _ in pick) != lam.dim:
             continue
-        acc = pick[0]
-        for w in pick[1:]:
+        acc = pick[0][0]
+        for w, _ in pick[1:]:
             acc = acc.sum(w)
         if acc.dim == lam.dim:
             chosen = pick
             break
 
-    picks = chosen if chosen is not None else (None,) * len(pieces)
+    picks = chosen if chosen is not None else ((None, None),) * len(pieces)
     return {
         "field_degree": f,
         "module_dim": u.dim,
         "ambient_dim": lam.dim,
         "pieces": [
-            {"name": name, "dim": dim_, "candidates": len(found), "space": w}
-            for (name, dim_, _, _), found, w in zip(pieces, candidates, picks)
+            {"name": name, "dim": dim_, "candidates": len(found), "space": w, "module": sub}
+            for (name, dim_, _, _), found, (w, sub) in zip(pieces, candidates, picks)
         ],
         "summand_dims": [piece[1] for piece in pieces],
         "passed": chosen is not None,

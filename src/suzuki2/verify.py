@@ -15,7 +15,6 @@ the same params produces byte-identical JSON, so timing lives only in the
 run_all TSV summary, never inside report JSON.
 """
 
-import hashlib
 import json
 import time
 from math import comb
@@ -85,43 +84,22 @@ def _norm(value):
     return value
 
 
-def _claim(cid, statement, expected, computed):
+def _claim(cid, statement, expected, computed, status=None):
+    """One claim: status unknown for an UNKNOWN computed value, else the
+    given status ("recorded", "trusted-citation"), else pass or fail by
+    comparing computed with expected."""
     if computed is UNKNOWN:
-        return {
-            "id": cid,
-            "statement": statement,
-            "expected": _norm(expected),
-            "computed": "unknown",
-            "status": "unknown",
-        }
+        computed = status = "unknown"
     expected = _norm(expected)
     computed = _norm(computed)
+    if status is None:
+        status = "pass" if computed == expected else "fail"
     return {
         "id": cid,
         "statement": statement,
         "expected": expected,
         "computed": computed,
-        "status": "pass" if computed == expected else "fail",
-    }
-
-
-def _recorded(cid, statement, computed):
-    return {
-        "id": cid,
-        "statement": statement,
-        "expected": None,
-        "computed": _norm(computed),
-        "status": "recorded",
-    }
-
-
-def _trusted(cid, statement):
-    return {
-        "id": cid,
-        "statement": statement,
-        "expected": None,
-        "computed": None,
-        "status": "trusted-citation",
+        "status": status,
     }
 
 
@@ -237,8 +215,7 @@ def run_theorem_dual(n):
             )
         )
         if dec["passed"]:
-            lam = exterior_square(v)
-            a_mod = submodule_module(lam, dec["pieces"][0]["space"])
+            a_mod = dec["pieces"][0]["module"]
             claims.append(
                 _claim(
                     "small-summand-is-dual",
@@ -258,11 +235,14 @@ def run_theorem_dual(n):
                 ),
             )
     claims.append(
-        _trusted(
+        _claim(
             "dual-pairing-citation",
             "that transitivity forces the center to carry the dual module in "
             "general rests on cited literature; only the desk instances are "
             "re-derived here",
+            None,
+            None,
+            "trusted-citation",
         )
     )
     return _report("theorem-dual", {"n": n}, claims, {"isomorphism": 0})
@@ -309,13 +289,17 @@ def run_small_eliminations(entry, data_dir=None):
         spectrum.append([qdim, transitive])
     trans_dims = sorted({d for d, t in spectrum if t})
     claims.append(
-        _recorded("lattice-size", "number of submodules of the exterior square", len(lattice))
+        _claim(
+            "lattice-size", "number of submodules of the exterior square", None, len(lattice), "recorded"
+        )
     )
     claims.append(
-        _recorded(
+        _claim(
             "quotient-spectrum",
             "(dimension, transitive-on-nonzero) for every quotient of the exterior square",
+            None,
             spectrum,
+            "recorded",
         )
     )
     claims.append(
@@ -327,17 +311,22 @@ def run_small_eliminations(entry, data_dir=None):
         )
     )
     claims.append(
-        _recorded(
+        _claim(
             "max-transitive-quotient-dim",
             "largest dimension of any transitive quotient",
+            None,
             max(trans_dims, default=0),
+            "recorded",
         )
     )
     claims.append(
-        _trusted(
+        _claim(
             "candidate-list-citation",
             "the list of candidate groups at this dimension comes from the "
             "cited classification of transitive linear groups",
+            None,
+            None,
+            "trusted-citation",
         )
     )
     return _report("small-eliminations", {"entry": entry}, claims)
@@ -365,8 +354,7 @@ def run_sl2_omega(f=2):
         ),
     ]
     if dec["passed"]:
-        lam = exterior_square(restrict_scalars(u))
-        b_mod = submodule_module(lam, dec["pieces"][1]["space"])
+        b_mod = dec["pieces"][1]["module"]
         sizes = sorted(len(o) for o in point_orbits(b_mod)[1:])
         q = 1 << (f // 2)
         total = (1 << b_mod.dim) - 1
@@ -410,7 +398,11 @@ def run_sp_lambda(f):
     u = sp4_natural_module(f)
     lam = exterior_square(u)
     lattice = submodule_lattice(lam)
-    claims.append(_recorded("lattice-dims", "dimensions of all submodules", [w.dim for w in lattice]))
+    claims.append(
+        _claim(
+            "lattice-dims", "dimensions of all submodules", None, [w.dim for w in lattice], "recorded"
+        )
+    )
     codim1 = lattice.of_dim(lam.dim - 1)
     claims.append(
         _claim("codim1-count", "exactly one submodule has codimension 1", 1, len(codim1))
@@ -593,7 +585,13 @@ def run_suzuki_suite(slow=False):
         )
     )
     claims.append(
-        _recorded("peps-presentation-relations", "relations evaluated", len(pres["relations"]))
+        _claim(
+            "peps-presentation-relations",
+            "relations evaluated",
+            None,
+            len(pres["relations"]),
+            "recorded",
+        )
     )
 
     ctx = pe.meta["ctx"]
@@ -653,11 +651,14 @@ def run_suzuki_suite(slow=False):
         )
     )
     claims.append(
-        _trusted(
+        _claim(
             "classification-citations",
             "the cyclic-center, free-submodule and odd-automorphism steps of "
             "the classification rest on cited literature and are not "
             "re-derived here",
+            None,
+            None,
+            "trusted-citation",
         )
     )
     return _report("suzuki-suite", {"slow": slow}, claims)
@@ -728,6 +729,8 @@ def source_digest(data_dir=None):
     files = sorted(Path(__file__).resolve().parent.glob("*.py"))
     if data.is_dir():
         files += sorted(p for p in data.iterdir() if p.is_file())
+    import hashlib  # only the cache path needs it, so start-up skips it
+
     h = hashlib.sha256()
     for path in files:
         blob = path.read_bytes()
@@ -741,6 +744,8 @@ def cache_key(name, params, sources=""):
     source_digest the run reads."""
     canon = ",".join(f"{k}={params[k]}" for k in sorted(params))
     blob = f"{name}|{canon}|{__version__}|{sources}"
+    import hashlib
+
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -753,9 +758,10 @@ def run_all(config):
     config keys (all optional): scenarios (list of (name, params) pairs,
     default DEFAULT_PLAN), data_dir, results_dir, cache_dir, slow; any
     other key raises BadFormat rather than being ignored, and so does,
-    before anything runs, a param the scenario's function does not take
-    or a required one left out, or a true/false given to a param whose
-    default is not one. The run settings go to a scenario whose
+    before anything runs, a slow that is not true/false, a param the
+    scenario's function does not take or a required one left out, or a
+    true/false given to a param whose default is not one, or anything
+    else to one whose default is. The run settings go to a scenario whose
     function takes them: data_dir beside the params, slow into them
     unless given. Returns a list of {report, elapsed_ms, cached} in plan
     order. Only pass verdicts are cached, so a failure caused by missing
@@ -766,6 +772,9 @@ def run_all(config):
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise BadFormat(f"unknown verify settings {unknown}; know {sorted(CONFIG_KEYS)}")
+    slow = config.get("slow", False)
+    if not isinstance(slow, bool):
+        raise BadFormat(f"slow must be true or false, got {slow!r}")
     plan = []
     for name, params in config.get("scenarios", DEFAULT_PLAN):
         if name not in SCENARIOS:
@@ -777,15 +786,15 @@ def run_all(config):
         bad = [f"unknown {k}" for k in sorted(set(params) - set(takes))]
         bad += [f"missing {k}" for k in args if k not in defaults and k not in params]
         bad += [
-            f"{k} takes no true/false"
+            f"{k} takes {'only' if isinstance(defaults.get(k), bool) else 'no'} true/false"
             for k in takes
-            if isinstance(params.get(k), bool) and not isinstance(defaults.get(k), bool)
+            if k in params and isinstance(params[k], bool) != isinstance(defaults.get(k), bool)
         ]
         if bad:
             flags = " ".join(f"--{a}" for a in takes) or "no parameters"
             raise BadFormat(f"scenario {name} takes {flags} ({', '.join(bad)})")
         if "slow" in args:
-            params = {"slow": bool(config.get("slow", False)), **params}
+            params = {"slow": slow, **params}
         settings = {"data_dir": config.get("data_dir") or None} if "data_dir" in args else {}
         plan.append((name, params, settings))
 

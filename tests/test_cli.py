@@ -384,6 +384,15 @@ def test_config_rejects_true_false_for_params_that_are_not_switches(capsys, tmp_
         assert "slow" not in err and out == "", line
 
 
+def test_config_rejects_a_switch_that_is_not_true_or_false(capsys, tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("scenario = suzuki-suite slow=maybe\n")
+    code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error:") and "slow takes only true/false" in err
+    assert out == ""
+
+
 def test_config_rejects_missing_and_unknown_params(capsys, tmp_path):
     for line, word in (
         ("scenario = theorem-dual", "missing n"),
@@ -439,6 +448,23 @@ def test_config_rejects_bad_input(capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "all", "--config", str(cfg)])
         assert code == 2, body
         assert err.startswith("error:"), body
+
+
+def test_config_rejects_a_key_or_param_given_twice(capsys, tmp_path):
+    for body, word in (
+        ("scenario = theorem-dual n=3 n=6\n", "'n' is given twice"),
+        ("data_dir = /a\ndata_dir = /b\nscenario = theorem-dual n=3\n", "'data_dir' is given twice"),
+        ("slow = false\nslow = true\n", "'slow' is given twice"),
+    ):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(body)
+        code, out, err = run(capsys, ["verify", "all", "--config", str(cfg)])
+        assert code == 2, body
+        assert err.startswith("error:") and word in err, body
+        assert out == "", body
+    # scenario is the one key that repeats
+    cfg.write_text("scenario = theorem-dual n=3\nscenario = theorem-dual n=6\n")
+    assert len(cli.parse_config(cfg)["scenarios"]) == 2
 
 
 def test_config_rejects_budget_key(capsys, tmp_path):

@@ -14,7 +14,7 @@ from suzuki2.errors import (
 )
 from suzuki2.gf2n import FieldContext
 from suzuki2.groups import FiniteGroup
-from suzuki2.linalg import Matrix
+from suzuki2.linalg import GF2, Matrix, pack, unpack
 from suzuki2 import constructions
 from suzuki2.constructions import (
     PRESENTATION_COMMUTATORS,
@@ -110,6 +110,35 @@ def test_b2_constraint_holds_everywhere():
         ctx = g.meta["ctx"]
         for a, b in g.labels:
             assert b ^ ctx.frobenius(b, n) ^ ctx.mul(a, ctx.frobenius(a, n)) == 0
+
+
+def b2_seed_by_solve(ctx, n, a):
+    """The smallest b with b + b^q = a^(1+q), q = 2^n, through a GF(2)
+    linear solve: one solution, then the least of its coset by GF(q)."""
+    m = 2 * n
+    lmat = Matrix(GF2, [unpack((1 << i) ^ ctx.frobenius(1 << i, n), m) for i in range(m)])
+    b0 = pack(lmat.solve(unpack(ctx.mul(a, ctx.frobenius(a, n)), m)))
+    return min(b0 ^ s for s in ctx.subfield_elements(n))
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b2_seeds_match_the_linear_solve(monkeypatch, n):
+    # capture build_b2's seed map before any table is built, then compare
+    # it with the solve on every a, not only on the seeds 1 << i
+    def capture(f, dim, order, meta, second):
+        raise _Captured(meta["ctx"], second)
+
+    monkeypatch.setattr(constructions, "_cocycle_group", capture)
+    with pytest.raises(_Captured) as info:
+        build_b2(n)
+    ctx, second = info.value.args
+    assert [second(a) for a in range(ctx.size)] == [
+        b2_seed_by_solve(ctx, n, a) for a in range(ctx.size)
+    ]
 
 
 def test_b2_product_matches_matrix_multiplication():

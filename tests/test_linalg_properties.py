@@ -18,7 +18,7 @@ from suzuki2.catalog import (
 )
 from suzuki2.errors import BadShape, FieldMismatch, NoSolution, SingularMatrix
 from suzuki2.gf2n import FieldContext
-from suzuki2.linalg import GF2, Matrix, Subspace, _pack, _unpack
+from suzuki2.linalg import GF2, Matrix, Subspace, pack, read_matrix, unpack
 from suzuki2.repmod import dual, exterior_square, hom_space, restrict_scalars
 
 F4 = FieldContext(2)
@@ -139,19 +139,33 @@ def test_inverse_agrees_with_the_list_path(m):
         assert m * got == Matrix.identity(m.ctx, m.nrows)
 
 
+def packed_rows():
+    """(f, row) with f in 1..4 and a row of GF(2^f) entries."""
+    return st.integers(1, 4).flatmap(
+        lambda f: st.tuples(st.just(f), st.lists(st.integers(0, (1 << f) - 1), max_size=300))
+    )
+
+
 @settings(deadline=None)
-@given(st.lists(st.integers(0, 1), max_size=300))
-def test_pack_and_unpack_are_inverse(row):
-    mask = _pack(row)
-    assert mask == sum(x << j for j, x in enumerate(row))
-    assert _unpack(mask, len(row)) == tuple(row)
-    assert _pack(tuple(row)) == mask
+@given(packed_rows())
+def test_pack_and_unpack_are_inverse(case):
+    f, row = case
+    mask = pack(row, f)
+    assert mask == sum(x << (f * j) for j, x in enumerate(row))
+    assert unpack(mask, len(row), f) == tuple(row)
+    assert unpack(mask | 1 << (f * len(row)), len(row), f) == tuple(row)
+    assert pack(tuple(row), f) == mask
+    # the text format stores a row as its packed mask in hex
+    m = Matrix(FieldContext(f), [row])
+    text = m.to_text().splitlines()
+    assert int(text[2], 16) == mask
+    assert read_matrix(text, 0) == (m, 3)
 
 
 def test_pack_rejects_entries_outside_gf2():
     for row in ([2], [0, 1, 3], [1, 255]):
         with pytest.raises(ValueError):
-            _pack(row)
+            pack(row)
 
 
 def test_gf2_solve_rejects_a_wrong_length_and_an_inconsistent_system():

@@ -53,9 +53,6 @@ def test_import_adds_only_the_known_stdlib_modules():
     assert set(out.split()) == {
         "argparse",
         "gettext",
-        "hashlib",
-        "_hashlib",
-        "_blake2",
         "json",
         "json.decoder",
         "json.encoder",
@@ -108,3 +105,18 @@ def test_only_groups_names_the_special_cache():
     # _special; a module that wrote the slot or called the builder could
     # leave a structure that disagrees with the table
     assert uses_outside(("groups",), ("_special", "_special_structure")) == []
+
+
+def test_only_linalg_converts_and_row_reduces_packed_vectors():
+    # linalg.pack/unpack own the packed layout and linalg.echelon the
+    # packed GF(2) row reduction; a second converter or a direct
+    # _rref_gf2 call elsewhere could fork the bit layout
+    assert uses_outside(("linalg",), ("_rref_gf2",)) == []
+    helpers = [
+        f"{path.name}:{node.name}"
+        for path in sorted((ROOT / "src" / "suzuki2").glob("*.py"))
+        if path.stem != "linalg"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and ("pack" in node.name or "echelon" in node.name)
+    ]
+    assert helpers == []

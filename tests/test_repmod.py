@@ -671,6 +671,19 @@ def test_decompose_degenerates_over_gf2():
     assert rep["ambient_dim"] == 3
 
 
+def test_decompose_keeps_each_summands_module(monkeypatch):
+    u = sl2_4()
+    rep = decompose_lemma22(u)
+    lam = exterior_square(restrict_scalars(u))
+    for piece in rep["pieces"]:
+        assert piece["module"] == submodule_module(lam, piece["space"])
+    # no candidate passes: no piece keeps a space or a module
+    monkeypatch.setattr(repmod, "is_isomorphic", lambda a, b: False)
+    rep = decompose_lemma22(u)
+    assert rep["passed"] is False
+    assert [(p["space"], p["module"]) for p in rep["pieces"]] == [(None, None)] * 2
+
+
 def test_serialization_roundtrip():
     for m in (sl3_2(), sl2_4()):
         assert module_from_text(module_to_text(m)) == m

@@ -367,6 +367,16 @@ def test_run_all_digests_the_sources_once_per_data_directory(tmp_path, monkeypat
     assert calls == [None, data]
 
 
+def test_run_all_refuses_a_slow_that_is_not_true_or_false(tmp_path):
+    # "false" is a truthy string: coerced, it would run the slow suite
+    for slow in ("false", 0, None):
+        with pytest.raises(BadFormat, match="slow must be true or false"):
+            verify.run_all(
+                {"slow": slow, "scenarios": [("suzuki-suite", {})], "results_dir": tmp_path}
+            )
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_all_rejects_jobs_and_seed():
     # neither knob changes a run, so neither is accepted and ignored
     for key in ("jobs", "seed", "budget"):
