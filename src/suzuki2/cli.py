@@ -14,10 +14,11 @@ may repeat, and a key or a scenario-line param given twice is an error
 param or `verify --n/--f/--entry` flag that the scenario does not take is
 an error (exit 2), as is a missing one, a true/false value for a param
 whose default is not true/false, and any of those flags with `verify
-all`; data_dir is a run setting only, never a scenario-line param. The
-search budget belongs to `catalog discover --budget` alone, so a
-`budget` key is a configuration error rather than a silently ignored
-setting; so are `seed` and `jobs`, since reports are deterministic and
+all`; data_dir is a run setting only, never a scenario-line param, and
+--slow, --data-dir or a slow or data_dir key that no scenario of the
+plan takes is an error (exit 2) too. The search budget belongs to
+`catalog discover --budget` alone, so a `budget` key is a configuration
+error rather than a silently ignored setting; so are `seed` and `jobs`, since reports are deterministic and
 scenarios run one after another. The SUZUKI2_DATA environment variable
 overrides the data directory for catalog entries exactly as the
 data_dir key does.

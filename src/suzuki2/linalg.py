@@ -17,15 +17,12 @@ over GF(2^f) is its restriction of scalars on the power basis. Every
 module converts through these two, and row-reduces packed GF(2) vectors
 through echelon(masks, bits).
 
-Over GF(2) the elimination routines pack rows into int bitmasks; over
-larger fields entries are kept per-cell. Semantics are identical. A
-GF(2) row is packed and unpacked in C (bytes.translate with int() and
-format()), about 4x and 10x faster than loops over the bits of a
-1,000-bit row, and kernel, solve and inverse pack each row once, with
-the identity block as its high bits (Matrix._augmented).
-decompose_lemma22 on the natural SL2(8) module took 0.18-0.21 s with this, against 0.23-0.28 s with
-bit-by-bit conversion and a list identity block (min of 5 runs in each
-of 4 alternating pairs, 2 vCPU, CPython 3.11.7).
+One elimination, _rref_packed, serves every field: it reduces packed
+rows, scaling a whole row by t in a few int operations (_scale), and
+kernel, solve and inverse pack each row once with the identity block as
+its high entries (Matrix._augmented). A GF(2) row is packed and unpacked
+in C (bytes.translate with int() and format()), about 4x and 10x faster
+than loops over the bits of a 1,000-bit row.
 
 Entries are checked once, where they enter: Matrix(...) and Subspace(...)
 check every entry (read_matrix and the catalog builders go through
@@ -170,50 +167,33 @@ class Matrix:
 
     def kernel(self):
         """Canonical basis of the left kernel {v : v*A = 0} as a Matrix."""
-        n, m = self.nrows, self.ncols
+        ctx, n, f = self.ctx, self.nrows, self.ctx.n
         red, pivots = self._augmented()
-        if self.ctx.n == 1:
-            basis = echelon([mask >> m for mask in red[len(pivots) :]], n)
-            return Matrix._of(self.ctx, [unpack(mask, n) for mask in basis])
-        basis, _ = _rref_rows(self.ctx, [row[m:] for row in red[len(pivots) :]], n)
-        return Matrix._of(self.ctx, basis)
+        basis, _ = _rref_packed(ctx, [mask >> f * self.ncols for mask in red[len(pivots) :]], n)
+        return Matrix._of(ctx, [unpack(mask, n, f) for mask in basis])
 
     def solve(self, b):
         """Some v with v*A = b, else NoSolution.
 
-        Over GF(2), acc = pack(b) is reduced by the pivot masks whose
-        pivot bit it has, in pivot order, as the list path reduces b; each
-        XOR adds the row combination c to the high bits, so b lies in the
-        row space exactly when the low bits end at zero, and then the high
-        bits are a v with v*A = b (the list path's v).
+        acc = pack(b) is reduced, in pivot order, by e times each pivot
+        row (c A | c), where e is acc's entry in the pivot column, as the
+        list path reduces b; each step adds e c to the high entries, so b
+        lies in the row space exactly when the low entries end at zero,
+        and then the high entries are a v with v*A = b (the list path's v).
         """
         if len(b) != self.ncols:
             raise BadShape("rhs length mismatch")
-        n, m = self.nrows, self.ncols
+        ctx, m, f = self.ctx, self.ncols, self.ctx.n
+        low = ctx.size - 1
         red, pivots = self._augmented()
-        if self.ctx.n == 1:
-            acc = pack(b)
-            for mask, p in zip(red, pivots):
-                if acc >> p & 1:
-                    acc ^= mask
-            if acc & ((1 << m) - 1):
-                raise NoSolution("inconsistent linear system")
-            return unpack(acc >> m, n)
-        mul = self.ctx.mul
-        rem = list(b)
-        comb = [0] * n
-        for row, p in zip(red, pivots):
-            c = rem[p]
-            if c:
-                for j in range(m):
-                    if row[j]:
-                        rem[j] ^= mul(c, row[j])
-                for j in range(n):
-                    if row[m + j]:
-                        comb[j] ^= mul(c, row[m + j])
-        if any(rem):
+        acc = pack(b, f)
+        for mask, p in zip(red, pivots):
+            e = acc >> f * p & low
+            if e:
+                acc ^= _scale(ctx, mask, e)
+        if acc & ((1 << f * m) - 1):
             raise NoSolution("inconsistent linear system")
-        return tuple(comb)
+        return unpack(acc >> f * m, self.nrows, f)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -222,26 +202,23 @@ class Matrix:
         red, pivots = self._augmented()
         if len(pivots) < n:
             raise SingularMatrix(f"rank {len(pivots)} < {n}")
-        if self.ctx.n == 1:
-            return Matrix._of(self.ctx, [unpack(mask >> n, n) for mask in red])
-        return Matrix._of(self.ctx, [row[n:] for row in red])
+        f = self.ctx.n
+        return Matrix._of(self.ctx, [unpack(mask >> f * n, n, f) for mask in red])
 
     def _augmented(self):
         """[A | I] in reduced echelon form, pivots among A's columns.
 
         Every row is (c A | c) for the coefficient vector c of the rows
-        summed into it. Over GF(2) rows are masks, row i packed once as
-        pack(A_i) | 1 << (ncols + i), and _rref_gf2 only XORs whole masks,
-        so c sits in the high bits. The rows past the rank have c A = 0 (a
-        nonzero entry below ncols would have been a pivot) and their c are
-        a basis of the left kernel; the c of a full-rank square A are the
-        rows of its inverse.
+        combined into it. Row i is packed once as pack(A_i, f) with entry 1
+        at column ncols + i, and _rref_packed only adds field multiples of
+        whole packed rows, so c sits in the high entries. The rows past the
+        rank have c A = 0 (a nonzero entry below ncols would have been a
+        pivot) and their c are a basis of the left kernel; the c of a
+        full-rank square A are the rows of its inverse.
         """
-        m, n = self.ncols, self.nrows
-        if self.ctx.n == 1:
-            return _rref_gf2([pack(r) | 1 << (m + i) for i, r in enumerate(self.rows)], m)
-        aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(self.rows)]
-        return _rref_rows(self.ctx, aug, m + n, stop_col=m)
+        f, m = self.ctx.n, self.ncols
+        rows = [pack(r, f) | 1 << f * (m + i) for i, r in enumerate(self.rows)]
+        return _rref_packed(self.ctx, rows, m)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -284,17 +261,15 @@ class Matrix:
         coordinates of t^r * a, so row f*i + r of the (f*nrows) x (f*ncols)
         result is t^r times row i, packed over GF(2^f), unpacked over GF(2).
         """
-        ctx = self.ctx
-        f = ctx.n
-        powers = [ctx.pow(ctx.t, r) for r in range(f)]
-        return Matrix._of(
-            GF2,
-            [
-                unpack(pack([ctx.mul(c, a) for a in row], f), f * self.ncols)
-                for row in self.rows
-                for c in powers
-            ],
-        )
+        width = self.ctx.n * self.ncols
+        return Matrix._of(GF2, [unpack(mask, width) for mask in self.blowup_masks()])
+
+    def blowup_masks(self):
+        """The rows of blowup() packed: row k is the image of the unit
+        point 1 << k, the element t^(k mod f) in coordinate k // f."""
+        f = self.ctx.n
+        masks = [pack(row, f) for row in self.rows]
+        return [_scale(self.ctx, mask, 1 << r) for mask in masks for r in range(f)]
 
     def to_text(self):
         """Serialize in the shared matrix text format."""
@@ -351,41 +326,11 @@ def read_matrix(lines, start):
     return Matrix(ctx, rows), idx
 
 
-def _rref_rows(ctx, rows, width, stop_col=None):
-    """In-place reduced row echelon form; returns (rows, pivot columns).
-
-    Pivot search is restricted to columns < stop_col (reduction still runs
-    across the full width), which drives kernel/solve/inverse bookkeeping.
-    """
-    if stop_col is None:
-        stop_col = width
-    if ctx.n == 1:
-        masks = [pack(r) for r in rows]
-        masks, pivots = _rref_gf2(masks, stop_col)
-        return [unpack(m, width) for m in masks], pivots
-    mul, inv = ctx.mul, ctx.inv
-    pivots = []
-    rank = 0
-    for col in range(stop_col):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        piv = rows[rank]
-        c = inv(piv[col])
-        if c != 1:
-            rows[rank] = piv = [mul(c, x) if x else 0 for x in piv]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a ^ (mul(c, b) if b else 0) for a, b in zip(rows[i], piv)]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
+def _rref_rows(ctx, rows, width):
+    """Reduced row echelon form of list rows; returns (rows, pivot columns)."""
+    f = ctx.n
+    masks, pivots = _rref_packed(ctx, [pack(r, f) for r in rows], width)
+    return [unpack(mask, width, f) for mask in masks], pivots
 
 
 def pack(row, f=1):
@@ -420,30 +365,79 @@ def echelon(masks, bits):
     """The reduced echelon basis of the GF(2)-span of packed vectors below
     2^bits, as a tuple: a span has exactly one, so equal tuples are equal
     spans."""
-    masks, pivots = _rref_gf2(list(masks), bits)
+    masks, pivots = _rref_packed(GF2, list(masks), bits)
     return tuple(masks[: len(pivots)])
 
 
-def _rref_gf2(masks, stop_col):
+def _rref_packed(ctx, masks, stop_col):
+    """In-place reduced echelon form of rows packed over ctx = GF(2^f),
+    pivots among the columns below stop_col (the columns past it are
+    carried along); returns (masks, pivot columns).
+
+    A row's entry in column col is nonzero exactly when the row meets that
+    column's f-bit block. The pivot row is scaled by the inverse of its
+    entry and every other row with entry e loses e times it (_scale), so
+    every step is the per-entry step of the list elimination. Over GF(2)
+    both scalars are 1: a bare XOR.
+    """
+    f, inv = ctx.n, ctx.inv
+    low = ctx.size - 1
     pivots = []
     rank = 0
     for col in range(stop_col):
-        bit = 1 << col
+        shift = f * col
+        block = low << shift
         sel = None
         for i in range(rank, len(masks)):
-            if masks[i] & bit:
+            if masks[i] & block:
                 sel = i
                 break
         if sel is None:
             continue
         masks[rank], masks[sel] = masks[sel], masks[rank]
         piv = masks[rank]
-        for i in range(len(masks)):
-            if i != rank and masks[i] & bit:
-                masks[i] ^= piv
+        if f == 1:
+            for i in range(len(masks)):
+                if i != rank and masks[i] & block:
+                    masks[i] ^= piv
+        else:
+            piv = masks[rank] = _scale(ctx, piv, inv(piv >> shift & low))
+            for i in range(len(masks)):
+                if i != rank and masks[i] & block:
+                    masks[i] ^= _scale(ctx, piv, masks[i] >> shift & low)
         pivots.append(col)
         rank += 1
     return masks, pivots
+
+
+def _scale(ctx, mask, c):
+    """c * mask for a row packed over ctx = GF(2^f): the XOR of t^b * mask
+    over the set bits b of c.
+
+    Each t^b * mask is t times the previous one, for every entry at once.
+    In s = mask << 1 the top bit of entry j lands alone at bit f*(j+1)
+    (entry j+1's bit 0 moves past it), so ovf = s & high, high holding
+    those bits, marks the entries whose 2a has degree f. As x^f = fold
+    mod poly, with fold = poly ^ 1 << f below 2^f, (ovf >> f) * fold puts
+    fold into exactly those blocks without carries, and
+    s ^ ovf ^ (ovf >> f) * fold is t*a mod poly in every block.
+    """
+    if c == 1:
+        return mask
+    f = ctx.n
+    blocks = -(-mask.bit_length() // f)
+    high = ((1 << f * blocks) - 1) // (ctx.size - 1) << f
+    fold = ctx.poly ^ ctx.size
+    out = 0
+    while True:
+        if c & 1:
+            out ^= mask
+        c >>= 1
+        if not c:
+            return out
+        s = mask << 1
+        ovf = s & high
+        mask = s ^ ovf ^ (ovf >> f) * fold
 
 
 class Subspace:

@@ -24,7 +24,7 @@ from .errors import (
     Undecided,
     Unsupported,
 )
-from .linalg import GF2, Matrix, Subspace, echelon, pack, read_matrix, skip_comments, unpack
+from .linalg import GF2, Matrix, Subspace, echelon, read_matrix, skip_comments, unpack
 from .permgrp import _trusted_orbits
 
 _POINT_BITS = 16
@@ -218,16 +218,6 @@ def spin(module, vectors):
     return space
 
 
-def _unit_images(ctx, rows):
-    """The point of e M for each unit point e, in bit order.
-
-    Bit k of a point is the field element 1 << (k mod n) in coordinate
-    k // n, and its image under v -> v M is that element times row k // n.
-    """
-    n = ctx.n
-    return [pack([ctx.mul(1 << r, a) for a in row], n) for row in rows for r in range(n)]
-
-
 def point_permutations(module):
     """Each generator as a permutation of the packed points of the space.
 
@@ -243,14 +233,13 @@ def point_permutations(module):
     range(2^(n*d)) and never needs validating again; a generator that
     fails the certificate raises SingularMatrix.
     """
-    ctx = module.ctx
-    n, d = ctx.n, module.dim
+    n, d = module.ctx.n, module.dim
     bits = n * d
     if bits > _POINT_BITS:
         raise Unsupported(f"point space 2^{bits} exceeds 2^{_POINT_BITS}")
     perms = []
     for sym in module.symbols:
-        units = _unit_images(ctx, module.action[sym].rows)
+        units = module.action[sym].blowup_masks()
         if len(echelon(units, bits)) < bits:
             raise SingularMatrix(f"generator {sym!r} does not permute the points")
         img = [0]
@@ -339,7 +328,8 @@ def _cyclic_spans(module):
     perms = point_permutations(module)
     scalar = ()
     if n > 1:
-        scalar = _unit_images(ctx, [[ctx.t if i == j else 0 for j in range(d)] for i in range(d)])
+        t_times = Matrix._of(ctx, [[ctx.t if i == j else 0 for j in range(d)] for i in range(d)])
+        scalar = t_times.blowup_masks()
     seen = set()
     for orb in _trusted_orbits(perms, 1 << (n * d))[1:]:
         span = echelon(_point_span(perms, scalar, orb[0]), n * d)

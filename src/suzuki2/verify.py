@@ -758,7 +758,8 @@ def run_all(config):
     config keys (all optional): scenarios (list of (name, params) pairs,
     default DEFAULT_PLAN), data_dir, results_dir, cache_dir, slow; any
     other key raises BadFormat rather than being ignored, and so does,
-    before anything runs, a slow that is not true/false, a param the
+    before anything runs, a slow or data_dir that no scenario of the plan
+    takes, a slow that is not true/false, a param the
     scenario's function does not take or a required one left out, or a
     true/false given to a param whose default is not one, or anything
     else to one whose default is. The run settings go to a scenario whose
@@ -776,6 +777,7 @@ def run_all(config):
     if not isinstance(slow, bool):
         raise BadFormat(f"slow must be true or false, got {slow!r}")
     plan = []
+    read = set()  # the args some scenario takes and its params leave open
     for name, params in config.get("scenarios", DEFAULT_PLAN):
         if name not in SCENARIOS:
             raise BadFormat(f"unknown scenario {name!r}; know {sorted(SCENARIOS)}")
@@ -793,10 +795,14 @@ def run_all(config):
         if bad:
             flags = " ".join(f"--{a}" for a in takes) or "no parameters"
             raise BadFormat(f"scenario {name} takes {flags} ({', '.join(bad)})")
+        read |= set(args) - set(params)
         if "slow" in args:
             params = {"slow": slow, **params}
         settings = {"data_dir": config.get("data_dir") or None} if "data_dir" in args else {}
         plan.append((name, params, settings))
+    unread = sorted({"slow", "data_dir"} & set(config) - read)
+    if unread:
+        raise BadFormat(f"no scenario in the plan takes {' or '.join(unread)}")
 
     cache_dir = Path(config["cache_dir"]) if config.get("cache_dir") else None
     sources = {}  # source_digest per data directory, each read once

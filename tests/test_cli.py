@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from suzuki2 import catalog, cli, repmod
+from suzuki2 import catalog, cli, repmod, verify
 from suzuki2.errors import ToolkitError, Unsupported
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import Matrix
@@ -359,6 +359,39 @@ def test_verify_rejects_flags_the_scenario_does_not_take(capsys):
         assert code == 2, argv
         assert err.startswith("error:"), argv
         assert "--" in err and out == "", argv
+
+
+# a value for each required scenario param, as verify flags
+REQUIRED_FLAGS = {"n": ["--n", "3"], "f": ["--f", "1"], "entry": ["--entry", "a6"]}
+
+
+@pytest.mark.parametrize("setting", ["slow", "data_dir"])
+@pytest.mark.parametrize("target", ["all", *sorted(verify.SCENARIOS)])
+def test_a_run_setting_reaches_a_scenario_or_exits_2(capsys, monkeypatch, tmp_path, setting, target):
+    # what a scenario is called with is what it computes from; a setting
+    # that only moved the cache key would not show here
+    reached = []
+
+    def stub(name):
+        return lambda **kw: reached.append(kw) or verify._report(name, {}, [])
+
+    for name in verify.SCENARIOS:
+        monkeypatch.setitem(verify.SCENARIOS, name, stub(name))
+    argv = ["verify", target]
+    if target != "all":
+        args, defaults = verify._SIGNATURES[target]
+        argv += [x for a in args if a in REQUIRED_FLAGS and a not in defaults for x in REQUIRED_FLAGS[a]]
+    value = True if setting == "slow" else str(tmp_path)
+    argv += ["--slow"] if setting == "slow" else ["--data-dir", value]
+    code, out, err = run(capsys, argv)
+    takes = target == "all" or setting in verify._SIGNATURES[target][0]
+    if takes:
+        assert code == 0, argv
+        assert any(kw.get(setting) == value for kw in reached), argv
+    else:
+        assert code == 2, argv
+        assert err == f"error: no scenario in the plan takes {setting}\n", argv
+        assert out == "" and reached == [], argv
 
 
 def test_verify_all_rejects_single_scenario_flags(capsys):

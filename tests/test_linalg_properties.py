@@ -1,4 +1,5 @@
-"""Property tests for GF(2) elimination: packed rows against the list path."""
+"""Property tests for the packed elimination against the list path, over
+GF(2), GF(4), GF(8), GF(16) and GF(64) with a non-default modulus."""
 
 import pytest
 
@@ -18,10 +19,11 @@ from suzuki2.catalog import (
 )
 from suzuki2.errors import BadShape, FieldMismatch, NoSolution, SingularMatrix
 from suzuki2.gf2n import FieldContext
-from suzuki2.linalg import GF2, Matrix, Subspace, pack, read_matrix, unpack
+from suzuki2.linalg import GF2, Matrix, Subspace, _scale, pack, read_matrix, unpack
 from suzuki2.repmod import dual, exterior_square, hom_space, restrict_scalars
 
 F4 = FieldContext(2)
+FIELDS = [GF2, F4, FieldContext(3), FieldContext(4), FieldContext(6, 0x5B)]
 
 
 def list_rref(ctx, rows, width, stop_col=None):
@@ -89,7 +91,7 @@ def outcome(fn, *args):
 
 @st.composite
 def matrices(draw, square=False):
-    ctx = draw(st.sampled_from([GF2, F4]))
+    ctx = draw(st.sampled_from(FIELDS))
     nrows = draw(st.integers(0, 7))
     ncols = nrows if square else draw(st.integers(0, 7))
     entry = st.integers(0, ctx.size - 1)
@@ -137,6 +139,28 @@ def test_inverse_agrees_with_the_list_path(m):
     assert got == outcome(list_inverse, m)
     if got is not SingularMatrix:
         assert m * got == Matrix.identity(m.ctx, m.nrows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda ctx: st.tuples(st.just(ctx), st.lists(st.integers(0, ctx.size - 1), max_size=40))
+))
+def test_scaling_a_packed_row_scales_every_entry(case):
+    ctx, row = case
+    mask = pack(row, ctx.n)
+    for c in range(ctx.size):
+        assert unpack(_scale(ctx, mask, c), len(row), ctx.n) == tuple(ctx.mul(c, a) for a in row)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda ctx: f"f{ctx.n}-{ctx.poly:#x}")
+def test_times_t_reduces_every_entry_with_its_top_bit_set(ctx):
+    # each entry overflows into the next block's bit 0 position, and only
+    # the fold by the modulus brings it back
+    top = ctx.size >> 1
+    for row in ([top] * 9, [ctx.size - 1] * 9, [top, 0, ctx.size - 1, 1, top]):
+        got = _scale(ctx, pack(row, ctx.n), ctx.t)
+        assert unpack(got, len(row), ctx.n) == tuple(ctx.mul(ctx.t, a) for a in row)
+        assert got >> ctx.n * len(row) == 0
 
 
 def packed_rows():

@@ -108,10 +108,11 @@ def test_only_groups_names_the_special_cache():
 
 
 def test_only_linalg_converts_and_row_reduces_packed_vectors():
-    # linalg.pack/unpack own the packed layout and linalg.echelon the
-    # packed GF(2) row reduction; a second converter or a direct
-    # _rref_gf2 call elsewhere could fork the bit layout
-    assert uses_outside(("linalg",), ("_rref_gf2",)) == []
+    # linalg.pack/unpack own the packed layout, _rref_packed is the one
+    # row reduction (echelon its GF(2) entry) and _scale scales packed
+    # rows; a second converter, or a call of these elsewhere, could fork
+    # the bit layout
+    assert uses_outside(("linalg",), ("_rref_packed", "_scale")) == []
     helpers = [
         f"{path.name}:{node.name}"
         for path in sorted((ROOT / "src" / "suzuki2").glob("*.py"))

@@ -23,7 +23,7 @@ from suzuki2.errors import (
     Unsupported,
 )
 from suzuki2.gf2n import FieldContext
-from suzuki2.linalg import GF2, Matrix, Subspace
+from suzuki2.linalg import GF2, Matrix, Subspace, pack
 from suzuki2.permgrp import _walk, orbits
 from suzuki2.repmod import (
     UNKNOWN,
@@ -222,6 +222,21 @@ def test_point_permutations():
     big = GModule(GF2, 17, {"g": Matrix.identity(GF2, 17)})
     with pytest.raises(Unsupported):
         point_permutations(big)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_unit_point_images_are_the_packed_blowup(f):
+    # one restriction of scalars: bit k of a point is the element
+    # t^(k mod f) = 1 << (k mod f) in coordinate k // f, so its image is
+    # row k of blowup(), packed
+    module = sl_natural_module(2, f)
+    ctx = module.ctx
+    for sym, perm in zip(module.symbols, point_permutations(module)):
+        gen = module.action[sym]
+        masks = gen.blowup_masks()
+        assert masks == [pack(r) for r in gen.blowup().rows]
+        assert masks == [pack([ctx.mul(1 << r, a) for a in row], f) for row in gen.rows for r in range(f)]
+        assert [perm[1 << k] for k in range(2 * f)] == masks
 
 
 def test_point_orbits_match_the_validated_walk():

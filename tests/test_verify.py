@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +270,25 @@ def test_default_plan_reports_match_pinned_digests(tmp_path):
     assert got == want
 
 
+def test_default_plan_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # set and dict order must never reach a report; summary.tsv holds
+    # timings and is left out
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    trees = []
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        subprocess.run(
+            [sys.executable, "-m", "suzuki2.cli", "verify", "all", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        )
+        trees.append({p.name: p.read_bytes() for p in out.glob("*.json")})
+    assert len(trees[0]) == 11
+    assert trees[0] == trees[1]
+
+
 def test_unknown_claim_propagates():
     claim = verify._claim("probe", "undecided comparison", True, UNKNOWN)
     assert claim["status"] == "unknown"
@@ -374,6 +396,18 @@ def test_run_all_refuses_a_slow_that_is_not_true_or_false(tmp_path):
             verify.run_all(
                 {"slow": slow, "scenarios": [("suzuki-suite", {})], "results_dir": tmp_path}
             )
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_all_refuses_a_run_setting_no_scenario_takes(tmp_path):
+    for setting, plan in (
+        ({"slow": True}, [("sp-lambda", {"f": 1})]),
+        # the scenario line's own slow wins, so the setting is never read
+        ({"slow": False}, [("suzuki-suite", {"slow": True})]),
+        ({"data_dir": str(tmp_path)}, [("theorem-dual", {"n": 3}), ("sl2-omega", {})]),
+    ):
+        with pytest.raises(BadFormat, match="no scenario in the plan takes"):
+            verify.run_all({**setting, "scenarios": plan, "results_dir": tmp_path / "out"})
     assert not any(tmp_path.iterdir())
 
 
