@@ -52,6 +52,7 @@ from .permgrp import (
     invert,
     orbits,
     perm_order,
+    transversal_word,
     validate_permutation,
 )
 
@@ -434,19 +435,23 @@ def brute_force_aut(group):
     Transversals: the proof needs only some t_c in A_k with t_c(g_k) = c,
     not the first hit alpha_c. alphas holds every map the search has
     returned, at this level and the deeper ones; a level-j map lies in
-    A_j, and A_j is inside A_k for j >= k. Level k keeps trans, c -> w_c,
-    the inverse transversal that permgrp.extend_transversal grows from
-    g_k -> 1 over the orbit of g_k under alphas: a new point e = a(d)
-    gets w_e = compose(a^-1, w_d), so t_e = invert(w_e) = compose(t_d, a)
-    is in A_k and sends g_k to a(t_d(g_k)) = a(d) = e. A candidate c
-    found in trans takes t_c = invert(w_c) as its representative and
-    skips the search; any other candidate runs the search, and each map
-    it returns joins alphas, its inverse joins inverses, and the orbit
-    is re-closed. The coset compose(A_(k+1), t_c) is the set of all maps
-    of A_k sending g_k to c, whichever t_c represents it, so sorting it
-    gives the same list as sorting compose(A_(k+1), alpha_c), and the
-    output does not depend on the choice. trans is dropped when its
-    level ends.
+    A_j, and A_j is inside A_k for j >= k. Level k keeps tree, the
+    Schreier tree that permgrp.extend_transversal grows from the root g_k
+    over the orbit of g_k under alphas, and words, the inverse words that
+    permgrp.transversal_word has formed from it, starting at g_k -> 1: a
+    point e = a(d) reached along a gets w_e = compose(a^-1, w_d), so t_e
+    = invert(w_e) = compose(t_d, a) is in A_k and sends g_k to
+    a(t_d(g_k)) = a(d) = e. A candidate c found in tree takes t_c =
+    invert(w_c) as its representative and skips the search; w_c is
+    formed on that read, and a word no candidate reads is never formed.
+    Any other candidate runs the search, and each map it returns joins
+    alphas, its inverse joins inverses, and the orbit is re-closed.
+    Both lists are append-only, so a tree edge names the same map
+    whenever its word is formed. The coset compose(A_(k+1), t_c) is the
+    set of all maps of A_k sending g_k to c, whichever t_c represents
+    it, so sorting it gives the same list as sorting compose(A_(k+1),
+    alpha_c), and the output does not depend on the choice. tree and
+    words are dropped when their level ends.
 
     Order: the exhaustive tree search over the candidate lists emits its
     automorphisms in lexicographic order of the generator image tuples.
@@ -457,15 +462,15 @@ def brute_force_aut(group):
     Certificates: each map _first_extension returns passes the
     Automorphism constructor before it joins alphas, and nothing else is
     checked. The rest follows by closure: the identity, which starts
-    below and every trans, is an automorphism; each w_c is the identity
-    or a product of inverses of alphas, so t_c = invert(w_c) is the
-    identity or a product of alphas; each level's maps are products
-    compose(s, t_c) of lower-level maps s and a t_c; and products and
-    inverses of bijective homomorphisms that fix 0 are bijective
-    homomorphisms that fix 0. So every listed map is an automorphism,
-    and Automorphism._product wraps it without a second check. The
-    intermediate levels are raw permutations that only feed those
-    products.
+    below and is the root word of every level, is an automorphism; each
+    w_c is the identity or a product of inverses of alphas, so t_c =
+    invert(w_c) is the identity or a product of alphas; each level's
+    maps are products compose(s, t_c) of lower-level maps s and a t_c;
+    and products and inverses of bijective homomorphisms that fix 0 are
+    bijective homomorphisms that fix 0. So every listed map is an
+    automorphism, and Automorphism._product wraps it without a second
+    check. The intermediate levels are raw permutations that only feed
+    those products.
     """
     cands = _image_candidates(group, group)
     gens = list(group.gens)
@@ -476,18 +481,19 @@ def brute_force_aut(group):
     inverses = []
     for k in reversed(range(len(gens))):
         fixed = [[g] for g in gens[:k]]
-        trans = {gens[k]: identity}
+        tree = {gens[k]: None}
+        words = {gens[k]: identity}
         level = []
         for c in cands[k]:
-            if c in trans:
-                t = invert(trans[c])
+            if c in tree:
+                t = invert(transversal_word(tree, words, inverses, c))
             else:
                 t = _first_extension(mul, mul, gens, fixed + [[c]] + cands[k + 1 :])
                 if t is None:
                     continue
                 alphas.append(Automorphism(group, t, "bruteforce").perm)
                 inverses.append(invert(t))
-                extend_transversal(trans, alphas, inverses)
+                extend_transversal(tree, alphas)
             level += sorted((compose(s, t) for s in below), key=itemgetter(*gens))
         below = level
     return [Automorphism._product(group, perm, "bruteforce") for perm in below]

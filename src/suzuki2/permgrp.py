@@ -9,15 +9,17 @@ convention of the matrix actions that feed this module.
 Every orbit in the package comes from one of two breadth-first walks,
 both with the point list as its own queue: _walk marks points in a
 bytearray (orbit, orbits and the unvalidated _trusted_orbits), and
-extend_transversal also keeps an inverse word per point (StabChain and
-automorphisms.brute_force_aut).
+extend_transversal grows a Schreier tree, point -> (parent, generator
+index), and composes nothing. transversal_word forms a point's inverse
+word from the tree when it is first read and keeps it. StabChain and
+automorphisms.brute_force_aut share both.
 
 Stabilizer chains are built by a deterministic incremental
 Schreier-Sims, and every chain grows the one way, by StabChain.add: the
 constructor adds its generators one at a time to the empty chain, as
 normal_closure and catalog.verify_entry do with theirs. Base points are
 always the smallest point moved by the permutation that forces them,
-orbits grow in BFS insertion order, and transversals are extend-only,
+orbits grow in BFS insertion order, and Schreier trees are extend-only,
 so identical generator lists reproduce identical chains. A caller that
 has proven the group inside some H may set StabChain.bound = |H|, and
 the chain stops testing Schreier pairs at that order; the class
@@ -160,43 +162,63 @@ def _walk(gens, start, seen):
     return part
 
 
-def extend_transversal(trans, gens, inverses):
-    """Close the inverse transversal trans under gens, in BFS order.
+def extend_transversal(tree, gens):
+    """Close the Schreier tree under gens, in BFS order; compose nothing.
 
-    trans maps each point c reached so far to a permutation w_c sending c
-    back to the root, the first key. Walking from c along s reaches
-    s[c], and w_{s[c]} = compose(s^-1, w_c) sends it to c and then to
-    the root. inverses[i] is gens[i]^-1. Existing points are walked
-    again, so trans may be extended as gens grows, and the insertion
-    order of trans stays the BFS order.
+    tree maps each point reached so far to (parent, i), the point it was
+    first reached from and the index of the generator that took it
+    there, and the root, its first key, to None. Existing points are
+    walked again, so the tree may be extended as gens grows, and its
+    insertion order stays the BFS order: each point follows its parent.
 
-    Returns the tree edges this call added, {s[c]: (c, i)} with s =
-    gens[i]. For such an edge, compose(s, w_{s[c]}) = s s^-1 w_c = w_c,
-    so the Schreier generator of (c, s) is the identity by construction.
+    Returns the edges this call added, {s[c]: (c, i)} with s = gens[i].
+    For such an edge, compose(s, w_{s[c]}) = s s^-1 w_c = w_c
+    (transversal_word), so the Schreier generator of (c, s) is the
+    identity by construction.
     """
     edges = {}
-    queue = list(trans)
+    queue = list(tree)
     for c in queue:
-        w = trans[c]
-        for i, (s, s_inv) in enumerate(zip(gens, inverses)):
+        for i, s in enumerate(gens):
             img = s[c]
-            if img not in trans:
-                trans[img] = compose(s_inv, w)
-                edges[img] = (c, i)
+            if img not in tree:
+                tree[img] = edges[img] = (c, i)
                 queue.append(img)
     return edges
+
+
+def transversal_word(tree, words, inverses, c):
+    """w_c, the word sending c back to the root of tree, formed on first read.
+
+    words holds the words formed so far and starts as {root: identity};
+    inverses[i] is the inverse of generator i of the tree. For the edge
+    c -> (parent, i), u_c = u_parent s with s = gens[i], so w_c =
+    compose(s^-1, w_parent). The path up to the nearest kept word is
+    walked without recursion, since a tree may be as deep as its orbit
+    is long, and each word on it is formed with one composition and kept.
+    """
+    path = []
+    while c not in words:
+        path.append(c)
+        c = tree[c][0]
+    w = words[c]
+    for c in reversed(path):
+        w = words[c] = compose(inverses[tree[c][1]], w)
+    return w
 
 
 class StabChain:
     """Deterministic stabilizer chain with order and membership tests.
 
-    trans[l] maps each point c of the level-l basic orbit to the inverse
-    w_c = u_c^-1 of its transversal element u_c, where u_c sends base[l]
-    to c; its insertion order is the BFS order of the orbit. Only
-    inverses are stored, because every use needs them:
+    trans[l] is the Schreier tree of level l: it maps each point c of the
+    level-l basic orbit to (parent, i), an edge along strong[l][i], and
+    base[l] to None; its insertion order is the BFS order of the orbit.
+    words[l] keeps the inverses w_c = u_c^-1 of the transversal elements
+    formed so far, where u_c sends base[l] to c. Only inverses are
+    formed, because every use needs them:
 
     - Extending the orbit from c along a strong generator s reaches c^s
-      with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c (extend_transversal).
+      with u_{c^s} = u_c s, so w_{c^s} = s^-1 w_c (transversal_word).
       inverses[l][i] is strong[l][i]^-1, inverted once when the
       generator joins the chain.
     - Stripping p at level l divides by the coset representative of
@@ -218,6 +240,22 @@ class StabChain:
     their residues are those of stripping sigma, so the chain (base,
     orbits in BFS order, strong generators) is the one forward
     transversals build.
+
+    Words formed on first read. extend_transversal walks the orbit and
+    composes nothing; _strip and _complete read w_c through
+    transversal_word, which forms it, and any ancestor not formed yet,
+    with one composition each and keeps it in words[l]. Tree edges, and
+    the strong[l] and inverses[l] entries their indexes name, are
+    append-only: an edge never changes once made, and its generator
+    stays the same permutation. By induction along the path to the root,
+    w_c is the same permutation whether it is formed early or late, and
+    it is the word an eager walk forms when c joins the orbit. So every
+    read returns the eager word, every strip and test goes as it would
+    with eager words, and the chain is unchanged: base, orbits in BFS
+    order, strong generators and _tested. The eager walk forms each word
+    once, and a kept word is never formed again, so lazy words never
+    compose more than eager ones; most are never read when the bound
+    below stops the chain early. order() reads only the tree sizes.
 
     Every chain grows by add(g), and the constructor is the empty chain
     followed by add(g) for each generator in turn. add strips g from
@@ -258,7 +296,8 @@ class StabChain:
     """
 
     __slots__ = (
-        "npoints", "gens", "base", "strong", "inverses", "trans", "bound", "_tested", "_id"
+        "npoints", "gens", "base", "strong", "inverses", "trans", "words", "bound",
+        "_tested", "_id",
     )
 
     def __init__(self, gens, npoints=None):
@@ -275,6 +314,7 @@ class StabChain:
         self.strong = []
         self.inverses = []
         self.trans = []
+        self.words = []
         self.bound = None
         self._tested = []
         for g in gens:
@@ -291,7 +331,8 @@ class StabChain:
         self.base.append(point)
         self.strong.append([])
         self.inverses.append([])
-        self.trans.append({point: self._id})
+        self.trans.append({point: None})
+        self.words.append({point: self._id})
         self._tested.append((0, 0))
 
     def _strip(self, p, level, w=None):
@@ -303,10 +344,10 @@ class StabChain:
         base, trans = self.base, self.trans
         for l in range(level, len(base)):
             b = base[l]
-            t = trans[l].get(p[b] if w is None else p[w.index(b)])
-            if t is None:
+            c = p[b] if w is None else p[w.index(b)]
+            if c not in trans[l]:
                 return p, l
-            p = compose(p, t)
+            p = compose(p, transversal_word(trans[l], self.words[l], self.inverses[l], c))
         return p, len(base)
 
     def _absorb(self, h, stuck, level):
@@ -327,21 +368,21 @@ class StabChain:
         Only pairs not tested before and not tree edges are sifted; the
         class docstring proves that the skipped ones change nothing.
         """
-        gens = self.strong[level]
-        trans = self.trans[level]
-        edges = extend_transversal(trans, gens, self.inverses[level])
+        gens, inverses = self.strong[level], self.inverses[level]
+        tree, words = self.trans[level], self.words[level]
+        edges = extend_transversal(tree, gens)
         old_points, old_gens = self._tested[level]
-        self._tested[level] = (len(trans), len(gens))
+        self._tested[level] = (len(tree), len(gens))
         if self.order() == self.bound:
             return
-        for k, b in enumerate(list(trans)):
-            w = trans[b]
+        for k, b in enumerate(list(tree)):
             for i in range(old_gens if k < old_points else 0, len(gens)):
                 s = gens[i]
                 c = s[b]
                 if edges.get(c) == (b, i):
                     continue
-                q = compose(s, trans[c])
+                q = compose(s, transversal_word(tree, words, inverses, c))
+                w = transversal_word(tree, words, inverses, b)
                 if q == w:
                     continue
                 q, stuck = self._strip(q, level + 1, w)

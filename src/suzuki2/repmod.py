@@ -451,16 +451,20 @@ def _check_invariant(module, w):
 
 
 def submodule_module(module, w):
-    """Action induced on an invariant subspace, in its echelon basis."""
+    """Action induced on an invariant subspace, in its echelon basis.
+
+    The coordinates of a vector v of w in w.basis are its entries at
+    w.pivots, with no solve: the basis is reduced echelon, so basis row k
+    has 1 at pivots[k] and 0 at every other pivot, and v = sum_k c_k
+    basis_k has entry c_k at pivots[k]. _check_invariant has proved
+    that each image mat.apply(b) lies in w.
+    """
     _check_invariant(module, w)
     ctx = module.ctx
-    if w.dim == 0:
-        return GModule(ctx, 0, {s: Matrix._of(ctx, []) for s in module.symbols})
-    base = Matrix._of(ctx, w.basis)
     action = {}
     for s in module.symbols:
-        mat = module.action[s]
-        action[s] = Matrix._of(ctx, [base.solve(mat.apply(b)) for b in w.basis])
+        images = map(module.action[s].apply, w.basis)
+        action[s] = Matrix._of(ctx, [[v[p] for p in w.pivots] for v in images])
     return GModule(ctx, w.dim, action)
 
 

@@ -323,6 +323,42 @@ def test_coset_search_equals_tree_search(spec):
             assert Automorphism(g, a.perm) == a
 
 
+def rooted_word(tree, words, inverses, c):
+    """Oracle: w_c formed from the root's word along the tree path, with
+    nothing kept."""
+    path = []
+    while tree[c] is not None:
+        path.append(tree[c])
+        c = tree[c][0]
+    w = words[c]
+    for _, i in reversed(path):
+        w = compose(inverses[i], w)
+    return w
+
+
+@pytest.mark.parametrize("spec", ["a2:3:1", "b2:2", "q:64", "hc:2:4"])
+def test_brute_force_reads_the_words_formed_from_the_root(monkeypatch, spec):
+    # every word brute_force_aut reads is the one an eager walk formed,
+    # and reading those words instead lists the same maps (the maps
+    # themselves are checked against the tree search above)
+    g = build_family(spec)
+    reads = []
+    real = automorphisms.transversal_word
+
+    def checked(tree, words, inverses, c):
+        want = rooted_word(tree, words, inverses, c)
+        got = real(tree, words, inverses, c)
+        reads.append(got == want)
+        return got
+
+    monkeypatch.setattr(automorphisms, "transversal_word", checked)
+    lazy = sorted(a.perm for a in brute_force_aut(g))
+    monkeypatch.setattr(automorphisms, "transversal_word", rooted_word)
+    rooted = sorted(a.perm for a in brute_force_aut(g))
+    assert reads and all(reads)
+    assert lazy == rooted
+
+
 def test_brute_force_certifies_each_search_result(monkeypatch):
     # a search hit with two non-identity images swapped is no
     # automorphism; the certificate on each hit must catch it

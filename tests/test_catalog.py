@@ -1,7 +1,11 @@
 """Catalog entries: family generators, verification, data files, discovery."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,8 @@ from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix
 from suzuki2.permgrp import StabChain, compose, derived_series, invert, orbit
 from suzuki2.repmod import GModule, point_permutations
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_order_formulas():
@@ -128,12 +134,51 @@ def test_sp4_entries_verify():
         assert verify_entry(entry)["passed"]
 
 
+# The child reads its peak from VmHWM, the high-water mark of its own
+# address space: on Linux, ru_maxrss after exec also keeps the peak of
+# the process that started it, here the whole test session.
+SP4_8_CHILD = """
+from suzuki2 import catalog, permgrp
+
+calls = 0
+real = permgrp.compose
+
+
+def counting(p, q):
+    global calls
+    calls += 1
+    return real(p, q)
+
+
+permgrp.compose = counting
+entry = catalog.entry_sp4(3)
+report = catalog.verify_entry(entry)
+order = next(c["computed"] for c in report["checks"] if c["name"] == "order")
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(1 << entry.n, report["passed"], order, calls, peak)
+"""
+
+
 def test_sp4_8_entry_verifies_on_4096_points():
-    entry = entry_sp4(3)
-    assert 1 << entry.n == 4096
-    report = verify_entry(entry)
-    assert report["passed"]
-    assert computed(report, "order") == sp_order(2, 8) == 1_056_706_560
+    # in a child interpreter, so that the peak memory is this run's own;
+    # with every transversal word formed during the orbit walk, the run
+    # took 10,877 compositions and peaked at 171 MB on CPython 3.11.7
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SP4_8_CHILD],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    points, passed, order, calls, peak_kib = out
+    assert points == "4096" and passed == "True"
+    assert int(order) == sp_order(2, 8) == 1_056_706_560
+    assert int(calls) <= 7000
+    assert int(peak_kib) < 80 * 1024
+
+
 
 
 def computed(report, name):
@@ -304,6 +349,26 @@ def test_verify_entry_stops_at_the_certified_order(monkeypatch, name, limit):
     report, calls = count_compositions(monkeypatch, lambda: verify_entry(entry))
     assert report["passed"]
     assert calls <= limit
+
+
+@pytest.mark.parametrize("name, limit", [("sl:2:5", 300), ("gamma_l1:10", 20)])
+def test_catalog_chains_form_only_the_words_they_read(monkeypatch, name, limit):
+    # the chain's own compositions: with every transversal word formed
+    # during the orbit walk they were 1,196 and 1,044, most of them
+    # level-0 words that the certified order made unread
+    entry = BOUNDED_ENTRIES[name][0]()
+    calls = []
+    real = permgrp.compose
+
+    def counting(p, q):
+        calls.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(permgrp, "compose", counting)
+    report = verify_entry(entry)
+    monkeypatch.undo()
+    assert report["passed"]
+    assert len(calls) <= limit
 
 
 def test_sp4_bounds():

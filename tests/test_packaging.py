@@ -92,6 +92,29 @@ def test_only_permgrp_and_repmod_name_the_unvalidated_orbit_walk():
     assert uses_outside(("permgrp", "repmod"), ("_trusted_orbits",)) == []
 
 
+def test_only_permgrp_walks_a_schreier_tree_and_forms_its_words():
+    # extend_transversal is the one tree walk and transversal_word the one
+    # word accessor; StabChain and brute_force_aut share them, and a second
+    # copy could form a word along another edge than the tree's
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted((ROOT / "src" / "suzuki2").glob("*.py"))
+        if path.stem != "permgrp"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and ("transversal" in node.name or "schreier" in node.name.lower())
+    ]
+    assert defined == []
+    source = (ROOT / "src" / "suzuki2" / "automorphisms.py").read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "permgrp"
+        for alias in node.names
+    }
+    assert {"extend_transversal", "transversal_word"} <= imported
+
+
 def test_only_automorphisms_and_permgrp_name_their_unchecked_entries():
     # Automorphism._product wraps a permutation without the certificate,
     # and StabChain._add skips validating the generator it strips; each

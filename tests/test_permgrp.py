@@ -28,6 +28,7 @@ from suzuki2.permgrp import (
     orbits,
     perm_order,
     random_subgroup_search,
+    transversal_word,
     validate_permutation,
 )
 from suzuki2.repmod import (
@@ -509,11 +510,18 @@ def test_chain_order_matches_sympy():
         assert chain.contains(probe) == ref.contains(combinatorics.Permutation(probe)), gens
 
 
+def word(chain, level, c):
+    """w_c at this level of the chain, through the one word accessor."""
+    return transversal_word(chain.trans[level], chain.words[level], chain.inverses[level], c)
+
+
 def test_chain_transversals_hold_inverses():
     for gens in (sl32_gens(), gl1_8_gens(), s4_gens()):
         chain = StabChain(gens)
-        for b, trans in zip(chain.base, chain.trans):
-            for c, w in trans.items():
+        for l, (b, tree) in enumerate(zip(chain.base, chain.trans)):
+            assert tree[b] is None
+            for c in tree:
+                w = word(chain, l, c)
                 assert w[c] == b
                 assert chain.contains(w)
 
@@ -525,10 +533,10 @@ def test_transversal_walk_and_plain_walk_agree():
     for gens in (sl32_gens(), gl1_8_gens(), s4_gens()):
         chain = StabChain(gens)
         for l, b in enumerate(chain.base):
-            trans = {b: identity_perm(chain.npoints)}
-            extend_transversal(trans, chain.strong[l], chain.inverses[l])
-            assert list(trans) == orbit(chain.strong[l], b)
-            assert trans.keys() == chain.trans[l].keys()
+            tree = {b: None}
+            extend_transversal(tree, chain.strong[l])
+            assert list(tree) == orbit(chain.strong[l], b)
+            assert tree.keys() == chain.trans[l].keys()
         for part in orbits(gens, len(gens[0])):
             assert part == orbit(gens, part[0])
 
@@ -546,35 +554,81 @@ def test_orbits_validate_every_generator():
     assert orbits([good, good], 5) == [[0, 1], [2, 3], [4]]
 
 
-class InvertPerPointChain(StabChain):
-    """Oracle: the chain built by inverting w_b once per orbit point.
+def eager_extend(tree, words, gens, inverses):
+    """Oracle walk: extend the Schreier tree and form the word of each new
+    point as it is reached, w_{s[c]} = compose(s^-1, w_c)."""
+    edges = {}
+    queue = list(tree)
+    for c in queue:
+        for i, (s, s_inv) in enumerate(zip(gens, inverses)):
+            img = s[c]
+            if img not in tree:
+                tree[img] = edges[img] = (c, i)
+                words[img] = compose(s_inv, words[c])
+                queue.append(img)
+    return edges
 
-    Each Schreier generator is formed as compose(w_b^-1, q) and stripped
-    as it is, without the sifted-q shortcut, without inverses kept per
-    strong generator and without skipping pairs sifted before.
-    """
+
+class EagerWordChain(StabChain):
+    """Oracle: StabChain with every transversal word formed during the
+    orbit walk (eager_extend) and read from words[l] directly."""
 
     __slots__ = ()
 
     def _strip(self, p, level, w=None):
-        assert w is None
         for l in range(level, len(self.base)):
-            t = self.trans[l].get(p[self.base[l]])
+            b = self.base[l]
+            t = self.words[l].get(p[b] if w is None else p[w.index(b)])
             if t is None:
                 return p, l
             p = compose(p, t)
         return p, len(self.base)
 
     def _complete(self, level):
+        gens, words = self.strong[level], self.words[level]
+        edges = eager_extend(self.trans[level], words, gens, self.inverses[level])
+        old_points, old_gens = self._tested[level]
+        self._tested[level] = (len(words), len(gens))
+        if self.order() == self.bound:
+            return
+        for k, (b, w) in enumerate(list(words.items())):
+            for i in range(old_gens if k < old_points else 0, len(gens)):
+                s = gens[i]
+                c = s[b]
+                if edges.get(c) == (b, i):
+                    continue
+                q = compose(s, words[c])
+                if q == w:
+                    continue
+                q, stuck = self._strip(q, level + 1, w)
+                if stuck == len(self.base) and q == w:
+                    continue
+                self._absorb(compose(invert(w), q), stuck, level)
+                if self.order() == self.bound:
+                    return
+
+
+class InvertPerPointChain(EagerWordChain):
+    """Oracle: the chain built by inverting w_b once per orbit point.
+
+    Each Schreier generator is formed as compose(w_b^-1, q) and stripped
+    as it is, without the sifted-q shortcut, without inverses kept per
+    strong generator and without skipping pairs sifted before. Words are
+    formed eagerly, as by EagerWordChain.
+    """
+
+    __slots__ = ()
+
+    def _complete(self, level):
         gens = self.strong[level]
-        trans = self.trans[level]
+        words = self.words[level]
         # permgrp.invert, so that a count of its calls sees these too
-        extend_transversal(trans, gens, [permgrp.invert(s) for s in gens])
-        for b in list(trans):
-            w = trans[b]
+        eager_extend(self.trans[level], words, gens, [permgrp.invert(s) for s in gens])
+        for b in list(words):
+            w = words[b]
             u = None
             for s in gens:
-                h = compose(s, trans[s[b]])
+                h = compose(s, words[s[b]])
                 if h == w:
                     continue
                 if u is None:
@@ -607,7 +661,10 @@ def rebuild_normal_closure(group_gens, seed_perms, npoints):
 
 
 def chain_data(chain):
-    return chain.base, chain.strong, [list(t.items()) for t in chain.trans]
+    """Base, strong generators, Schreier trees in BFS order, and every
+    transversal word as the accessor returns it."""
+    words = [[word(chain, l, c) for c in tree] for l, tree in enumerate(chain.trans)]
+    return chain.base, chain.strong, [list(t.items()) for t in chain.trans], words
 
 
 def commutators(gens):
@@ -653,6 +710,66 @@ def test_random_chains_and_normal_closures_match_the_oracle():
         assert got.order() == want.order(), (gens, seeds)
         for d in want_gens:
             assert got.contains(d)
+
+
+def assert_lazy_words_are_eager(gens, n):
+    lazy, eager = StabChain(gens, n), EagerWordChain(gens, n)
+    assert lazy.base == eager.base and lazy.strong == eager.strong
+    assert [list(t.items()) for t in lazy.trans] == [list(t.items()) for t in eager.trans]
+    assert lazy._tested == eager._tested
+    for l, tree in enumerate(lazy.trans):
+        # the words formed so far are some of the tree's points, and each
+        # is the eager word, as is every word the accessor forms later
+        assert lazy.words[l].keys() <= tree.keys()
+        for c, w in list(lazy.words[l].items()):
+            assert w == eager.words[l][c]
+        for c in tree:
+            assert word(lazy, l, c) == eager.words[l][c]
+        assert lazy.words[l] == eager.words[l]
+
+
+@pytest.mark.parametrize("name", ENTRY_PERMS)
+def test_lazy_words_equal_the_eager_words_on_catalog_entries(name):
+    perms = ENTRY_PERMS[name]()
+    assert_lazy_words_are_eager(perms, len(perms[0]))
+
+
+def test_lazy_words_equal_the_eager_words_on_random_groups():
+    rng = random.Random(34)
+    for _ in range(150):
+        n = rng.randint(2, 11)
+        assert_lazy_words_are_eager(random_generators(rng, n), n)
+
+
+def test_the_tree_walk_composes_nothing_and_words_are_kept(monkeypatch):
+    # SL2(32) on 1024 points: the walk from a nonzero vector reaches the
+    # other 1022 with no composition; with its order as the bound, the
+    # chain stops before it reads most level-0 words, and a word read
+    # again is not formed again
+    perms = entry_sl(2, 5).point_perms()
+    chain = StabChain([], len(perms[0]))
+    chain.bound = 32736
+    calls = []
+    real = permgrp.compose
+
+    def counting(p, q):
+        calls.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(permgrp, "compose", counting)
+    tree = {1: None}
+    extend_transversal(tree, perms)
+    assert len(tree) == 1023 and calls == []
+    for g in perms:
+        chain.add(g)
+    assert chain.order() == 32736
+    formed = sum(len(words) - 1 for words in chain.words)
+    assert formed < len(chain.trans[0]) // 2
+    before = len(calls)
+    for l, words in enumerate(chain.words):
+        for c in list(words):
+            assert word(chain, l, c) is words[c]
+    assert len(calls) == before
 
 
 def test_add_grows_a_chain_to_the_generated_group():
@@ -764,11 +881,12 @@ def test_a_bound_the_chain_passes_stops_it_there(monkeypatch):
 
 def test_sl2_32_chain_forms_each_schreier_generator_once(monkeypatch):
     """q = compose(s, w_{b^s}) is formed once per (level, point, generator)
-    and never for a tree edge of the transversal, whose q is w_b."""
+    and never for a tree edge of the transversal, whose q is w_b. The
+    words a product reads are the ones the chain keeps in words[l]."""
     perms = entry_sl(2, 5).point_perms()
     levels = []  # levels of the active _complete calls, innermost last
     formed = []  # (level, p, q) of every compose made inside _complete
-    trees = []  # (trans, edges) of every extend_transversal
+    trees = []  # (tree, edges) of every extend_transversal
     real_complete = StabChain._complete
     real_compose = permgrp.compose
     real_extend = permgrp.extend_transversal
@@ -785,9 +903,9 @@ def test_sl2_32_chain_forms_each_schreier_generator_once(monkeypatch):
             formed.append((levels[-1], p, q))
         return real_compose(p, q)
 
-    def extend(trans, gens, inverses):
-        edges = real_extend(trans, gens, inverses)
-        trees.append((trans, edges))
+    def extend(tree, gens):
+        edges = real_extend(tree, gens)
+        trees.append((tree, edges))
         return edges
 
     monkeypatch.setattr(StabChain, "_complete", complete)
@@ -799,7 +917,7 @@ def test_sl2_32_chain_forms_each_schreier_generator_once(monkeypatch):
     # a Schreier product composes a strong generator of its level with a
     # transversal word of that level; the operands are the stored objects
     strong_at = [{id(s): i for i, s in enumerate(level)} for level in chain.strong]
-    point_at = [{id(w): c for c, w in trans.items()} for trans in chain.trans]
+    point_at = [{id(w): c for c, w in words.items()} for words in chain.words]
     pairs = []
     for level, p, q in formed:
         i, c = strong_at[level].get(id(p)), point_at[level].get(id(q))

@@ -414,6 +414,33 @@ def test_lattice_for_wedge_of_restricted_sl24():
     assert all(two.contains_space(w) for w in lat.of_dim(1))
 
 
+def solved_action(module, w):
+    """Oracle: the action on w's basis by Matrix.solve against the basis."""
+    base = Matrix(module.ctx, w.basis)
+    return {
+        s: Matrix(module.ctx, [base.solve(mat.apply(b)) for b in w.basis])
+        for s, mat in module.action.items()
+    }
+
+
+def test_submodule_coordinates_at_the_pivots_equal_the_solved_ones():
+    unipotent = GModule.from_matrices([
+        Matrix(GF4, [[1, T, 0], [0, 1, 1], [0, 0, 1]]),
+        Matrix(GF4, [[1, 0, T], [0, 1, 0], [0, 0, 1]]),
+    ])
+    modules = [exterior_square(restrict_scalars(sl2_4())), tensor(sl2_4(), sl2_4()), unipotent]
+    seen = 0
+    for module in modules:
+        for w in submodule_lattice(module).members:
+            sub = submodule_module(module, w)
+            assert sub.ctx == module.ctx and sub.dim == w.dim
+            if w.dim:
+                assert sub.action == solved_action(module, w)
+                seen += w.dim < module.dim
+    assert seen >= 10
+    assert {m.ctx for m in modules} == {GF2, GF4}
+
+
 def test_lattice_closed_under_sum_and_intersection():
     lam = exterior_square(restrict_scalars(sl2_4()))
     lat = submodule_lattice(lam)
