@@ -58,11 +58,13 @@ from .permgrp import (
 
 
 def _pairs_witness(mul_src, mul_dst, maps):
-    """First x with maps[x*y] != maps[x]*maps[y] for some y, else -1."""
+    """First x with maps[x*y] != maps[x]*maps[y] for some y, else -1.
+
+    Row x is compared as _certificate_witness compares a generator's row:
+    maps read over mul_src[x] against mul_dst[maps[x]] read at the maps."""
+    get = itemgetter(*maps)
     for x in range(len(maps)):
-        row = mul_src[x]
-        drow = mul_dst[maps[x]]
-        if [maps[y] for y in row] != [drow[m] for m in maps]:
+        if itemgetter(*mul_src[x])(maps) != get(mul_dst[maps[x]]):
             return x
     return -1
 

@@ -346,9 +346,12 @@ def _parse_trailer(line):
     for p in parts[1:]:
         try:
             k, v = p.split("=", 1)
-            out[k] = int(v)
+            value = int(v)
         except ValueError as exc:
             raise BadFormat(f"bad trailer field {p!r}") from exc
+        if k in out:
+            raise BadFormat(f"trailer field {k!r} is given twice")
+        out[k] = value
     if sorted(out) != ["order", "solvable", "transitive"]:
         raise BadFormat(f"trailer must set order, transitive, solvable: {line!r}")
     if out["transitive"] not in (0, 1) or out["solvable"] not in (0, 1):

@@ -27,10 +27,6 @@ class SingularMatrix(ToolkitError):
     pass
 
 
-class NoSolution(ToolkitError):
-    pass
-
-
 class FieldMismatch(ToolkitError):
     pass
 

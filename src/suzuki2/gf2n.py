@@ -237,8 +237,3 @@ class FieldContext:
             mask |= a << i
         return mask
 
-    def subfield_elements(self, m):
-        """Sorted elements of the GF(2^m) subfield, fixed by x -> x^(2^m)."""
-        if m <= 0 or self.n % m != 0:
-            raise BadSubfield(f"GF(2^{m}) is not a subfield of GF(2^{self.n})")
-        return [x for x in range(self.size) if self.frobenius(x, m) == x]

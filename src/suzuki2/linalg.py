@@ -19,8 +19,8 @@ through echelon(masks, bits).
 
 One elimination, _rref_packed, serves every field: it reduces packed
 rows, scaling a whole row by t in a few int operations (_scale), and
-kernel, solve and inverse pack each row once with the identity block as
-its high entries (Matrix._augmented). A GF(2) row is packed and unpacked
+kernel and inverse pack each row once with the identity block as its
+high entries (Matrix._augmented). A GF(2) row is packed and unpacked
 in C (bytes.translate with int() and format()), about 4x and 10x faster
 than loops over the bits of a 1,000-bit row.
 
@@ -31,7 +31,7 @@ already valid are built by Matrix._of and Subspace._of, which check
 nothing.
 """
 
-from .errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatrix
+from .errors import BadFormat, BadShape, FieldMismatch, SingularMatrix
 from .gf2n import FieldContext, poly_to_hex
 
 GF2 = FieldContext(1)
@@ -171,29 +171,6 @@ class Matrix:
         red, pivots = self._augmented()
         basis, _ = _rref_packed(ctx, [mask >> f * self.ncols for mask in red[len(pivots) :]], n)
         return Matrix._of(ctx, [unpack(mask, n, f) for mask in basis])
-
-    def solve(self, b):
-        """Some v with v*A = b, else NoSolution.
-
-        acc = pack(b) is reduced, in pivot order, by e times each pivot
-        row (c A | c), where e is acc's entry in the pivot column, as the
-        list path reduces b; each step adds e c to the high entries, so b
-        lies in the row space exactly when the low entries end at zero,
-        and then the high entries are a v with v*A = b (the list path's v).
-        """
-        if len(b) != self.ncols:
-            raise BadShape("rhs length mismatch")
-        ctx, m, f = self.ctx, self.ncols, self.ctx.n
-        low = ctx.size - 1
-        red, pivots = self._augmented()
-        acc = pack(b, f)
-        for mask, p in zip(red, pivots):
-            e = acc >> f * p & low
-            if e:
-                acc ^= _scale(ctx, mask, e)
-        if acc & ((1 << f * m) - 1):
-            raise NoSolution("inconsistent linear system")
-        return unpack(acc >> f * m, self.nrows, f)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -459,12 +436,12 @@ class Subspace:
         """Trusted constructor: reduces the vectors and checks nothing.
 
         Only for vectors that some method computed from subspaces, matrices
-        or points over ctx: sums and intersections of subspaces, spins,
-        and points unpacked coordinate by coordinate. Their entries are
-        elements of GF(2^n) for the reason Matrix._of gives (XOR and mul
-        map elements to elements; an unpacked coordinate is masked to n
-        bits), and each has ambient entries, because every computing
-        method builds its vectors at the ambient length.
+        or points over ctx: sums of subspaces, spins, and points unpacked
+        coordinate by coordinate. Their entries are elements of GF(2^n)
+        for the reason Matrix._of gives (XOR and mul map elements to
+        elements; an unpacked coordinate is masked to n bits), and each
+        has ambient entries, because every computing method builds its
+        vectors at the ambient length.
         """
         self = object.__new__(cls)
         self._echelon(ctx, vectors, ambient)
@@ -523,23 +500,3 @@ class Subspace:
         self._same_space(other)
         return Subspace._of(self.ctx, self.basis + other.basis, self.ambient)
 
-    def intersection(self, other):
-        """Zassenhaus-style: kernel rows of the stacked basis split the sum."""
-        self._same_space(other)
-        stacked = list(self.basis) + list(other.basis)
-        if not stacked:
-            return Subspace._of(self.ctx, [], self.ambient)
-        ker = Matrix._of(self.ctx, stacked).kernel()
-        mul = self.ctx.mul
-        vecs = []
-        k = len(self.basis)
-        for krow in ker.rows:
-            v = [0] * self.ambient
-            for i in range(k):
-                c = krow[i]
-                if c:
-                    for j, b in enumerate(self.basis[i]):
-                        if b:
-                            v[j] ^= mul(c, b)
-            vecs.append(v)
-        return Subspace._of(self.ctx, vecs, self.ambient)

@@ -2,8 +2,8 @@
 
 A GModule stores one invertible matrix per abstract generator symbol and
 nothing about the group behind the symbols. Constructions (twists, duals,
-scalar restriction and extension, tensor and exterior squares, direct sums)
-act generatorwise; structure questions (spinning, submodule lattices, Hom
+scalar restriction, tensor and exterior squares, direct sums) act
+generatorwise; structure questions (spinning, submodule lattices, Hom
 spaces, irreducibility, subfield writability) reduce to linear algebra.
 
 Exhaustive answers are bounded: point enumeration stops at 2^16 vectors and
@@ -147,17 +147,6 @@ def restrict_scalars(module):
         GF2,
         module.ctx.n * module.dim,
         {s: m.blowup() for s, m in module.action.items()},
-    )
-
-
-def extend_scalars(module, ext_ctx):
-    """Reinterpret a GF(2)-module over a larger field; dim is unchanged."""
-    if module.ctx.n != 1:
-        raise Unsupported("scalar extension starts from a GF(2)-module")
-    return GModule(
-        ext_ctx,
-        module.dim,
-        {s: Matrix(ext_ctx, m.rows) for s, m in module.action.items()},
     )
 
 

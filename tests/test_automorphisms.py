@@ -42,6 +42,8 @@ from suzuki2.automorphisms import (
     verify_lemma31,
 )
 
+from oracles import list_solve
+
 
 def conjugation(g, j):
     """Inner automorphism x -> j^-1 x j as a raw permutation."""
@@ -737,7 +739,7 @@ def old_lift_ids(group):
 def old_z_coords(group, value):
     width = group.meta["ctx"].n
     zmat = Matrix(GF2, [[(z >> j) & 1 for j in range(width)] for z in old_z_basis(group)])
-    return list(zmat.solve(tuple((value >> j) & 1 for j in range(width))))
+    return list(list_solve(zmat, tuple((value >> j) & 1 for j in range(width))))
 
 
 def old_quotient_matrix(group, aut):

@@ -14,6 +14,7 @@ from suzuki2.catalog import (
     SPORADICS,
     CatalogEntry,
     _containment_bounds,
+    _parse_trailer,
     antidiagonal_form,
     data_directory,
     discover_entry,
@@ -467,6 +468,18 @@ def test_load_entry_bad_format(tmp_path):
     attempt(good + "field 1 poly=0x3\n")
     attempt(good.replace("dim 2 2", "dim 2 -2", 1))
     attempt(good.replace("dim 2 2", "dim -2 2", 1))
+
+
+def test_trailer_refuses_a_repeated_field(tmp_path):
+    # a repeat would otherwise override silently: order=360 then order=720
+    # used to read as order 720
+    with pytest.raises(BadFormat, match="given twice"):
+        _parse_trailer("expect order=360 order=720 transitive=1 solvable=0")
+    good = save_entry(entry_sl(2, 1), tmp_path / "good.txt")
+    p = tmp_path / "twice.txt"
+    p.write_text(good.replace("transitive=1", "transitive=1 transitive=1"))
+    with pytest.raises(BadFormat, match="given twice"):
+        load_entry(p)
 
 
 def test_shipped_sporadics_verify():

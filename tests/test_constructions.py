@@ -34,6 +34,8 @@ from suzuki2.constructions import (
 )
 from suzuki2.gf2n import PEPS_POLY
 
+from oracles import list_solve
+
 
 def triangular(ctx, a, b, a_twist):
     return Matrix(ctx, [[1, a, b], [0, 1, a_twist], [0, 0, 1]])
@@ -98,7 +100,7 @@ def test_b2_structure():
     z = g.center()
     assert len(z) == 4
     ctx = g.meta["ctx"]
-    subfield = set(ctx.subfield_elements(2))
+    subfield = {x for x in range(ctx.size) if ctx.frobenius(x, 2) == x}
     assert {g.labels[i] for i in z} == {(0, b) for b in subfield}
     assert g.is_special_2group()
     assert g.involution_count() == 3
@@ -117,8 +119,8 @@ def b2_seed_by_solve(ctx, n, a):
     linear solve: one solution, then the least of its coset by GF(q)."""
     m = 2 * n
     lmat = Matrix(GF2, [unpack((1 << i) ^ ctx.frobenius(1 << i, n), m) for i in range(m)])
-    b0 = pack(lmat.solve(unpack(ctx.mul(a, ctx.frobenius(a, n)), m)))
-    return min(b0 ^ s for s in ctx.subfield_elements(n))
+    b0 = pack(list_solve(lmat, unpack(ctx.mul(a, ctx.frobenius(a, n)), m)))
+    return min(b0 ^ x for x in range(ctx.size) if ctx.frobenius(x, n) == x)
 
 
 class _Captured(Exception):

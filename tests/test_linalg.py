@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from suzuki2.errors import BadFormat, BadShape, FieldMismatch, NoSolution, SingularMatrix
+from suzuki2.errors import BadFormat, BadShape, FieldMismatch, SingularMatrix
 from suzuki2.gf2n import FieldContext
 from suzuki2.linalg import GF2, Matrix, Subspace, read_matrix, wedge_pairs
 
@@ -117,19 +117,6 @@ def test_kernel_annihilates_and_has_right_dim():
             zero = tuple([0] * m.ncols)
             for v in ker.rows:
                 assert m.apply(v) == zero
-
-
-def test_solve_consistent_and_inconsistent():
-    rng = random.Random(8)
-    m = rand_matrix(F8, 3, 4, rng)
-    v = tuple(rng.randrange(8) for _ in range(3))
-    b = m.apply(v)
-    x = m.solve(b)
-    assert m.apply(x) == b
-    # rank 1 system with an rhs outside the row space
-    m2 = Matrix(F4, [[1, 0], [1, 0]])
-    with pytest.raises(NoSolution):
-        m2.solve((0, 1))
 
 
 def test_tensor_diagonal_example():
@@ -306,19 +293,10 @@ def test_subspace_sum_and_intersection():
     e12 = Subspace(GF2, [(0, 1, 0), (0, 0, 1)], 3)
     total = e01.sum(e12)
     assert total.dim == 3
-    meet = e01.intersection(e12)
-    assert meet.dim == 1 and meet.contains((0, 1, 0))
+    # the intersection is the line through (0, 1, 0): both contain it, and
+    # dim e01 + dim e12 - dim(e01 + e12) = 1
+    e1 = Subspace(GF2, [(0, 1, 0)], 3)
+    assert e01.contains_space(e1) and e12.contains_space(e1)
+    assert e01.dim + e12.dim - total.dim == 1
     assert e01.contains_space(e0)
     assert not e12.contains_space(e0)
-
-
-def test_subspace_intersection_random_dimension_formula():
-    rng = random.Random(14)
-    for _ in range(20):
-        u = Subspace(F4, [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)], 4)
-        w = Subspace(F4, [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)], 4)
-        meet = u.intersection(w)
-        join = u.sum(w)
-        assert u.dim + w.dim == join.dim + meet.dim
-        for v in meet.basis:
-            assert u.contains(v) and w.contains(v)

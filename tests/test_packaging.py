@@ -144,3 +144,33 @@ def test_only_linalg_converts_and_row_reduces_packed_vectors():
         if isinstance(node, ast.FunctionDef) and ("pack" in node.name or "echelon" in node.name)
     ]
     assert helpers == []
+
+
+def test_every_library_definition_has_a_caller():
+    # every non-dunder function, class and method in the package is named
+    # somewhere in src/ or bench/ (tests do not count) as a Name, an
+    # Attribute or an import alias. The match is by name only, so a
+    # same-named attribute elsewhere can hide a dead definition
+    def trees(folder):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path, ast.parse(path.read_text(), str(path))
+
+    named = set()
+    for _, tree in [*trees("src"), *trees("bench")]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    uncalled = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees("src/suzuki2")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert uncalled == []

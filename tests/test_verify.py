@@ -25,6 +25,8 @@ from suzuki2.repmod import (
     submodule_module,
 )
 
+from oracles import list_solve
+
 
 def by_id(report):
     return {c["id"]: c for c in report["claims"]}
@@ -191,7 +193,9 @@ def test_t_own_maximal_submodules_equal_the_scan_below_t(f):
         if not any(x.dim > w.dim and x.contains_space(w) for x in below)
     ]
     tb = Matrix(lam.ctx, list(t_space.basis))
-    in_t = [Subspace(lam.ctx, [tb.solve(v) for v in w.basis], t_space.dim) for w in max_below]
+    in_t = [
+        Subspace(lam.ctx, [list_solve(tb, v) for v in w.basis], t_space.dim) for w in max_below
+    ]
     own = submodule_lattice(submodule_module(lam, t_space)).maximal_proper()
     assert len(in_t) == len(own) == 1
     assert set(in_t) == set(own)
