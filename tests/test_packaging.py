@@ -147,10 +147,11 @@ def test_only_linalg_converts_and_row_reduces_packed_vectors():
 
 
 def test_every_library_definition_has_a_caller():
-    # every non-dunder function, class and method in the package is named
-    # somewhere in src/ or bench/ (tests do not count) as a Name, an
-    # Attribute or an import alias. The match is by name only, so a
-    # same-named attribute elsewhere can hide a dead definition
+    """Every non-dunder function, class and method in the package is
+    named somewhere in src/ or bench/ (tests do not count) as a Name, an
+    Attribute or an import alias. The match is by name only, so a
+    same-named attribute elsewhere can hide a dead definition."""
+
     def trees(folder):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if not path.name.startswith("test_"):
